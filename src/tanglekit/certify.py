@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .coloring import determinant
-from .diagram import LinkDiagram, components, connected_sum, parse_pd
+from .diagram import LinkDiagram, PDError, components, connected_sum, parse_pd
+from . import skein as _skein
 from .skein import (
     TangleTemplate,
     TemplateError,
@@ -37,6 +39,7 @@ from .tangle import (
     ANTIPARALLEL,
     PARALLEL,
     TangleFraction,
+    class_parity,
     compatible_classes,
     connectivity,
     orientation_class,
@@ -67,12 +70,18 @@ ORIENTED = "oriented"
 BASE_UNKNOT = "unknot"
 BASE_HOPF = "hopf"
 
+# (p mod 2, q mod 2) of the insertions each orientation sector admits
+_SECTOR_PARITIES = {
+    tag: frozenset(class_parity(c) for c in compatible_classes(tag))
+    for tag in (PARALLEL, ANTIPARALLEL)
+}
+
 
 class CertificateError(ValueError):
     """A certificate cannot be generated for the requested target."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertNode:
     frac: TangleFraction
     orient: str | None
@@ -149,37 +158,39 @@ def span_certificate(
         raise CertificateError(
             f"target {target} is the ambient zero locus: no certificate exists"
         )
+    a, b = ambient.coeffs[0]
     nodes: list[CertNode] = []
-    memo: dict[TangleFraction, int] = {}
-
-    def parents_of(f: TangleFraction) -> tuple[TangleFraction, TangleFraction]:
-        j, k = f.p, f.q
-        qh = (-pow(j, -1, k)) % k
-        ph = (qh * j + 1) // k
-        s = k - qh
-        r = (j * s - 1) // k
-        return TangleFraction(ph, qh), TangleFraction(r, s)
-
-    stack = [target]
+    # the recursion runs on reduced (p, q) pairs; a fraction is built only
+    # for an emitted node
+    memo: dict[tuple[int, int], int] = {}
+    stack = [(target.p, target.q)]
     while stack:
         f = stack[-1]
         if f in memo:
             stack.pop()
             continue
-        if insertion_det(ambient, 0, f) == 0:
+        j, k = f
+        if b * j == a * k:
             raise CertificateError(
-                f"canonical derivation of {target} passes through the zero locus {f}"
+                f"canonical derivation of {target} passes through the zero locus {j}/{k}"
             )
-        if f.q == 1:
-            nodes.append(CertNode(f, None, ("base", BASE_UNKNOT)))
+        if k == 1:
+            just: tuple = ("base", BASE_UNKNOT)
         else:
-            p1, p2 = parents_of(f)
-            pending = [p for p in (p1, p2) if p not in memo]
-            if pending:
-                stack.extend(reversed(pending))
+            qh = (-pow(j, -1, k)) % k
+            s = k - qh
+            p1 = ((qh * j + 1) // k, qh)
+            p2 = ((j * s - 1) // k, s)
+            i1, i2 = memo.get(p1), memo.get(p2)
+            if i1 is None or i2 is None:
+                if i2 is None:
+                    stack.append(p2)
+                if i1 is None:
+                    stack.append(p1)
                 continue
-            nodes.append(CertNode(f, None, ("triple", memo[p1], memo[p2], None)))
-        memo[f] = len(nodes) - 1
+            just = ("triple", i1, i2, None)
+        memo[f] = len(nodes)
+        nodes.append(CertNode(TangleFraction(j, k), None, just))
         stack.pop()
     return Certificate(UNORIENTED, tuple(nodes), ambient)
 
@@ -208,75 +219,85 @@ def oriented_span_certificate(
         raise CertificateError("the infinity insertion has no certificate")
     if insertion_det(ambient, 0, f0) == 0:
         raise CertificateError(f"target {f0} is the ambient zero locus")
-
-    mirror = f0.p < 0
-    work = f0.mirror() if mirror else f0
-    compat = compatible_classes(tag)
-    if connectivity(work) not in compat:
+    compat = _SECTOR_PARITIES[tag]
+    if f0.parity() not in compat:
         raise CertificateError(f"{f0} is not {tag}-compatible")
 
+    # The recursion runs on the mirror image of a negative target; `sign`
+    # maps a node back to the output frame, where its determinant is taken.
+    sign = -1 if f0.p < 0 else 1
+    a, b = ambient.coeffs[0]
     nodes: list[CertNode] = []
-    memo: dict[TangleFraction, int] = {}
+    memo: dict[tuple[int, int], int] = {}
 
-    def parents_of(
-        f: TangleFraction,
-    ) -> tuple[TangleFraction, TangleFraction]:
-        """(crossing-change partner, selected resolution) of the node f."""
-        if f.p == 1:
-            pick = _pick_resolution(
-                TangleFraction(1, f.q - 1), TangleFraction(0, 1), compat
+    def pick(c1: tuple[int, int], c2: tuple[int, int]) -> tuple[int, int]:
+        picks = [c for c in (c1, c2) if (c[0] % 2, c[1] % 2) in compat]
+        if len(picks) != 1:  # pragma: no cover - pair classes are always distinct
+            raise CertificateError(
+                f"no unique compatible resolution in "
+                f"({c1[0]}/{c1[1]}, {c2[0]}/{c2[1]})"
             )
-            return TangleFraction(1, f.q - 2), pick
-        k, q = f.p, f.q
-        j = q % k
-        ph = pow(j, -1, k)
-        qh = (ph * q - 1) // k
-        r = k - ph
-        s = (r * q + 1) // k
-        pick = _pick_resolution(TangleFraction(ph, qh), TangleFraction(r, s), compat)
-        return TangleFraction.make(ph - r, qh - s), pick
+        return picks[0]
 
-    stack = [work]
+    stack = [(sign * f0.p, f0.q)]
     while stack:
         f = stack[-1]
         if f in memo:
             stack.pop()
             continue
-        if connectivity(f) not in compat:  # pragma: no cover - selection bug
-            raise CertificateError(f"node {f} incompatible with {tag} sector")
-        if insertion_det(ambient, 0, f) == 0:
+        p, q = f
+        if (p % 2, q % 2) not in compat:  # pragma: no cover - selection bug
+            raise CertificateError(f"node {p}/{q} incompatible with {tag} sector")
+        if b * sign * p == a * q:
             raise CertificateError(
-                f"derivation of {f0} passes through the zero locus {f}"
+                f"derivation of {f0} passes through the zero locus {sign * p}/{q}"
             )
-        if f.q in (1, 2):
-            name = BASE_UNKNOT if f.q == 1 else BASE_HOPF
-            nodes.append(CertNode(f, tag, ("base", name)))
+        if q in (1, 2):
+            just: tuple = ("base", BASE_UNKNOT if q == 1 else BASE_HOPF)
         else:
-            partner_f, pick = parents_of(f)
-            pending = [p for p in (partner_f, pick) if p not in memo]
-            if pending:
-                stack.extend(reversed(pending))
+            # (crossing-change partner, selected resolution) of the node
+            if p == 1:
+                partner = (1, q - 2)
+                res = pick((1, q - 1), (0, 1))
+            else:
+                ph = pow(q % p, -1, p)
+                qh = (ph * q - 1) // p
+                r = p - ph
+                s = (r * q + 1) // p
+                res = pick((ph, qh), (r, s))
+                # (ph - r)/(qh - s) is reduced, since |ph*s - qh*r| = 1
+                pp, pq = ph - r, qh - s
+                partner = (1, 0) if pq == 0 else (-pp, -pq) if pq < 0 else (pp, pq)
+            i_part, i_res = memo.get(partner), memo.get(res)
+            if i_part is None or i_res is None:
+                if i_res is None:
+                    stack.append(res)
+                if i_part is None:
+                    stack.append(partner)
                 continue
-            i_res = memo[pick]
-            nodes.append(CertNode(f, tag, ("triple", memo[partner_f], i_res, i_res)))
-        memo[f] = len(nodes) - 1
+            just = ("triple", i_part, i_res, i_res)
+        memo[f] = len(nodes)
+        nodes.append(CertNode(TangleFraction(sign * p, q), tag, just))
         stack.pop()
-    out = tuple(
-        CertNode(n.frac.mirror(), n.orient, n.just) for n in nodes
-    ) if mirror else tuple(nodes)
-    return Certificate(ORIENTED, out, ambient)
-
-
-def _pick_resolution(
-    c1: TangleFraction, c2: TangleFraction, compat: frozenset[str]
-) -> TangleFraction:
-    picks = [c for c in (c1, c2) if connectivity(c) in compat]
-    if len(picks) != 1:  # pragma: no cover - pair classes are always distinct
-        raise CertificateError(f"no unique compatible resolution in ({c1}, {c2})")
-    return picks[0]
+    return Certificate(ORIENTED, tuple(nodes), ambient)
 
 
 # -- verification ----------------------------------------------------------------
+
+# Bound on the ambient fits the verifier remembers.
+_REFIT_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=_REFIT_MEMO_SIZE)
+def _refit(diagram: LinkDiagram, det) -> tuple[int, int]:
+    """fit_coefficients of an orientation-free one-slot diagram.
+
+    A fit is made by the determinant that fit_coefficients evaluates its
+    probes with, so that function keys the memo beside the diagram's value:
+    a rebound determinant (a wrapper, a patched build) refits instead of
+    reusing a fit it never made.
+    """
+    return fit_coefficients(TangleTemplate(diagram))
 
 
 def verify_certificate(
@@ -284,19 +305,27 @@ def verify_certificate(
 ) -> Verdict:
     """Re-check a certificate independently of how it was generated.
 
-    0. the recorded ambient coefficients match a fresh fit of its diagram;
+    0. the recorded ambient coefficients match a fresh fit of its diagram
+       (the fit is memoized by diagram value and the determinant in use;
+       the comparison runs on every call);
     1. DAG order: triples reference strictly earlier nodes;
     2. exact mediant/Farey identities at every triple;
     3. nonzero determinant of every node under the ambient model;
     4. (oriented) orientation tags, compatibility of all members, and
        correctness of the marked resolution;
     5. bases restricted to the generating family.
+
+    Checks 2-5 run on each node's integer pair; fractions appear only in
+    REJECT messages, formatted as p/q.
     """
     ambient = ambient or cert.ambient
     if ambient.slot_count != 1 or ambient.coeffs[0] is None:
         return Verdict(False, 0, None, "ambient must be one fitted slot")
+    diagram = ambient.diagram
+    if diagram.orientation is not None:
+        diagram = diagram.with_orientation(None)
     try:
-        refit = fit_coefficients(TangleTemplate(ambient.diagram.with_orientation(None)))
+        refit = _refit(diagram, _skein.determinant)
     except Exception as exc:  # noqa: BLE001 - a verdict, not a fault
         return Verdict(False, 0, None, f"ambient cannot be refitted: {exc}")
     if refit != ambient.coeffs[0]:
@@ -308,128 +337,116 @@ def verify_certificate(
     if not cert.nodes:
         return Verdict(False, 0, None, "empty certificate")
 
-    for m, node in enumerate(cert.nodes):
-        kind = node.just[0]
+    oriented = cert.kind == ORIENTED
+    a, b = ambient.coeffs[0]
+    nodes = cert.nodes
+    ps = [n.frac.p for n in nodes]
+    qs = [n.frac.q for n in nodes]
+    for m, node in enumerate(nodes):
+        p, q = ps[m], qs[m]
+        just = node.just
+        kind = just[0]
         if kind == "triple":
-            _, i, j, res = node.just
+            _, i, j, res = just
             if not (0 <= i < m and 0 <= j < m and i != j):
                 return Verdict(False, 1, m, "triple must reference earlier nodes")
-            if cert.kind == ORIENTED and res not in (i, j):
-                return Verdict(False, 1, m, "resolution marker must be a parent")
-            v = _check_triple_identities(cert, m, node)
-            if v is not None:
-                return v
+            if not oriented:
+                msg = _mediant_fault(p, q, ps[i], qs[i], ps[j], qs[j])
+                if msg is not None:
+                    return Verdict(False, 2, m, msg)
+            else:
+                if res not in (i, j):
+                    return Verdict(False, 1, m, "resolution marker must be a parent")
+                # resolution (rp, rq) and crossing-change partner (xp, xq)
+                o = j if res == i else i
+                rp, rq, xp, xq = ps[res], qs[res], ps[o], qs[o]
+                pair = _farey_pair_of(p, q, xp, xq)
+                if pair is None:
+                    return Verdict(
+                        False, 2, m, f"{p}/{q} and {xp}/{xq} do not span a Farey pair"
+                    )
+                if (rp, rq) not in pair:
+                    return Verdict(
+                        False, 2, m,
+                        f"marked resolution {rp}/{rq} is not a member of the pair",
+                    )
         elif kind != "base":
             return Verdict(False, 1, m, f"unknown justification {kind!r}")
 
-        if insertion_det(ambient, 0, node.frac) == 0:
-            return Verdict(False, 3, m, f"{node.frac} has determinant zero")
+        if b * p == a * q:
+            return Verdict(False, 3, m, f"{p}/{q} has determinant zero")
 
-        if cert.kind == ORIENTED:
-            v = _check_orientation(cert, m, node)
-            if v is not None:
-                return v
+        if oriented:
+            tag = node.orient
+            if tag not in (PARALLEL, ANTIPARALLEL):
+                return Verdict(False, 4, m, "oriented node missing its tag")
+            # an odd denominator forces the tag: even numerator antiparallel
+            if q % 2 and (PARALLEL if p % 2 else ANTIPARALLEL) != tag:
+                return Verdict(False, 4, m, f"{p}/{q} cannot be {tag}")
+            compat = _SECTOR_PARITIES[tag]
+            if (p % 2, q % 2) not in compat:
+                return Verdict(False, 4, m, f"{p}/{q} incompatible with its sector")
+            if kind == "triple":
+                if nodes[i].orient != tag or nodes[j].orient != tag:
+                    return Verdict(False, 4, m, "triple members carry different tags")
+                op, oq = pair[1] if (rp, rq) == pair[0] else pair[0]
+                if (rp % 2, rq % 2) not in compat:
+                    return Verdict(
+                        False, 4, m, f"marked resolution {rp}/{rq} is incompatible"
+                    )
+                if (op % 2, oq % 2) in compat:
+                    return Verdict(
+                        False, 4, m,
+                        f"resolution is ambiguous: {op}/{oq} is also compatible",
+                    )
         elif node.orient is not None:
             return Verdict(False, 4, m, "unoriented node carries a tag")
 
         if kind == "base":
-            v = _check_base(cert.kind, m, node)
-            if v is not None:
-                return v
+            name = just[1]
+            if oriented:
+                if not (name == BASE_UNKNOT and q == 1 or name == BASE_HOPF and q == 2):
+                    return Verdict(
+                        False, 5, m, f"{p}/{q} ({name}) is not an unknot or Hopf base"
+                    )
+            elif name != BASE_UNKNOT or q != 1:
+                return Verdict(
+                    False, 5, m, f"{p}/{q} ({name}) is not an unknot-valued base"
+                )
     return Verdict(True)
 
 
-def _oriented_pair(
-    node: CertNode, fp: TangleFraction
-) -> tuple[TangleFraction, TangleFraction] | None:
-    """Farey pair reconstructed from a mediant node and its partner, or None."""
-    sp, sq = node.frac.p + fp.p, node.frac.q + fp.q
-    dp, dq = node.frac.p - fp.p, node.frac.q - fp.q
+def _mediant_fault(
+    p: int, q: int, pi: int, qi: int, pj: int, qj: int
+) -> str | None:
+    """Why p/q is not the mediant of the Farey pair pi/qi, pj/qj, or None."""
+    if abs(pi * qj - qi * pj) != 1:
+        return f"parents {pi}/{qi}, {pj}/{qj} are not a Farey pair"
+    # the sum of a Farey pair of reduced fractions is reduced with q > 0
+    if pi + pj != p or qi + qj != q:
+        return f"mediant of parents is {pi + pj}/{qi + qj}, not {p}/{q}"
+    return None
+
+
+def _farey_pair_of(
+    p: int, q: int, xp: int, xq: int
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Reduced Farey pair whose mediant is p/q and whose crossing change is
+    xp/xq: the halves of their sum and difference, or None."""
+    sp, sq, dp, dq = p + xp, q + xq, p - xp, q - xq
     if sp % 2 or sq % 2 or dp % 2 or dq % 2:
         return None
-    p1 = (sp // 2, sq // 2)
-    p2 = (dp // 2, dq // 2)
-    if abs(p1[0] * p2[1] - p1[1] * p2[0]) != 1:
+    p1, q1, p2, q2 = sp // 2, sq // 2, dp // 2, dq // 2
+    if abs(p1 * q2 - q1 * p2) != 1:
         return None
-    try:
-        return TangleFraction.make(*p1), TangleFraction.make(*p2)
-    except ValueError:
-        return None
+    # unit determinant: both are reduced and neither is 0/0; normalize the sign
+    return _normalized(p1, q1), _normalized(p2, q2)
 
 
-def _check_triple_identities(
-    cert: Certificate, m: int, node: CertNode
-) -> Verdict | None:
-    _, i, j, res = node.just
-    fi, fj = cert.nodes[i].frac, cert.nodes[j].frac
-    if cert.kind == UNORIENTED:
-        if abs(fi.p * fj.q - fi.q * fj.p) != 1:
-            return Verdict(False, 2, m, f"parents {fi}, {fj} are not a Farey pair")
-        med = TangleFraction.make(fi.p + fj.p, fi.q + fj.q)
-        if med != node.frac:
-            return Verdict(False, 2, m, f"mediant of parents is {med}, not {node.frac}")
-        return None
-    if res is None:
-        return Verdict(False, 2, m, "oriented triple lacks a resolution marker")
-    fr = cert.nodes[res].frac
-    fp = cert.nodes[j if res == i else i].frac
-    pair = _oriented_pair(node, fp)
-    if pair is None:
-        return Verdict(
-            False, 2, m, f"{node.frac} and {fp} do not span a Farey pair"
-        )
-    if fr not in pair:
-        return Verdict(
-            False, 2, m, f"marked resolution {fr} is not a member of the pair"
-        )
-    return None
-
-
-def _check_orientation(cert: Certificate, m: int, node: CertNode) -> Verdict | None:
-    if node.orient not in (PARALLEL, ANTIPARALLEL):
-        return Verdict(False, 4, m, "oriented node missing its tag")
-    forced = orientation_class(node.frac) if node.frac.q % 2 == 1 else None
-    if forced is not None and forced != node.orient:
-        return Verdict(False, 4, m, f"{node.frac} cannot be {node.orient}")
-    compat = compatible_classes(node.orient)
-    if connectivity(node.frac) not in compat:
-        return Verdict(False, 4, m, f"{node.frac} incompatible with its sector")
-    if node.just[0] != "triple":
-        return None
-    _, i, j, res = node.just
-    if cert.nodes[i].orient != node.orient or cert.nodes[j].orient != node.orient:
-        return Verdict(False, 4, m, "triple members carry different tags")
-    fr = cert.nodes[res].frac
-    fp = cert.nodes[j if res == i else i].frac
-    pair = _oriented_pair(node, fp)
-    if pair is None:  # pragma: no cover - caught at check 2
-        return Verdict(False, 4, m, "pair reconstruction failed")
-    other = pair[1] if fr == pair[0] else pair[0]
-    if connectivity(fr) not in compat:
-        return Verdict(False, 4, m, f"marked resolution {fr} is incompatible")
-    if connectivity(other) in compat:
-        return Verdict(
-            False, 4, m, f"resolution is ambiguous: {other} is also compatible"
-        )
-    return None
-
-
-def _check_base(kind: str, m: int, node: CertNode) -> Verdict | None:
-    name = node.just[1]
-    q = node.frac.q
-    if kind == UNORIENTED:
-        if name != BASE_UNKNOT or q != 1:
-            return Verdict(
-                False, 5, m, f"{node.frac} ({name}) is not an unknot-valued base"
-            )
-        return None
-    if name == BASE_UNKNOT and q == 1:
-        return None
-    if name == BASE_HOPF and q == 2:
-        return None
-    return Verdict(
-        False, 5, m, f"{node.frac} ({name}) is not an unknot or Hopf base"
-    )
+def _normalized(p: int, q: int) -> tuple[int, int]:
+    if q == 0:
+        return (1, 0)
+    return (-p, -q) if q < 0 else (p, q)
 
 
 # -- composition -----------------------------------------------------------------
@@ -520,7 +537,7 @@ def certificate_to_json(cert: Certificate) -> dict:
             j = {"triple": [just[1], just[2]]}
             if just[3] is not None:
                 j["resolution"] = just[3]
-        entry: dict = {"frac": str(n.frac), "just": j}
+        entry: dict = {"frac": f"{n.frac.p}/{n.frac.q}", "just": j}
         if n.orient is not None:
             entry["orient"] = n.orient
         nodes.append(entry)
@@ -535,21 +552,73 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> Certificate:
-    diagram = parse_pd(data["ambient"]["pd"])
-    a, b = data["ambient"]["coeffs"]
-    ambient = TangleTemplate(diagram, ((int(a), int(b)),))
-    nodes = []
-    for entry in data["nodes"]:
-        frac = TangleFraction.parse(entry["frac"])
-        orient = entry.get("orient")
-        j = entry["just"]
-        if "base" in j:
-            just: tuple = ("base", j["base"])
-        else:
-            i, k = j["triple"]
-            just = ("triple", int(i), int(k), j.get("resolution"))
-        nodes.append(CertNode(frac, orient, just))
-    return Certificate(data["kind"], tuple(nodes), ambient)
+    """Rebuild a certificate from its JSON form.
+
+    The shape is checked here and anything else raises CertificateError;
+    what the values mean (kinds, tags, indices, identities) is left to
+    verify_certificate, which rejects with a check number.
+    """
+    if not isinstance(data, dict):
+        raise CertificateError("a certificate must be a JSON object")
+    kind = _field(data, "kind", str, "certificate")
+    amb = _field(data, "ambient", dict, "certificate")
+    coeffs = _field(amb, "coeffs", list, "ambient")
+    if len(coeffs) != 2 or not all(type(c) is int for c in coeffs):
+        raise CertificateError("ambient coeffs must be two integers")
+    try:
+        ambient = TangleTemplate(
+            parse_pd(_field(amb, "pd", str, "ambient")), (tuple(coeffs),)
+        )
+    except (PDError, TemplateError) as exc:
+        raise CertificateError(f"ambient: {exc}") from None
+    nodes = [
+        _node_from_json(entry, m)
+        for m, entry in enumerate(_field(data, "nodes", list, "certificate"))
+    ]
+    return Certificate(kind, tuple(nodes), ambient)
+
+
+def _node_from_json(entry, m: int) -> CertNode:
+    if not isinstance(entry, dict):
+        raise CertificateError(f"node {m} must be a JSON object")
+    text, j, orient = entry.get("frac"), entry.get("just"), entry.get("orient")
+    if not isinstance(text, str):
+        raise CertificateError(f"node {m}: 'frac' must be a JSON string")
+    if not isinstance(j, dict):
+        raise CertificateError(f"node {m}: 'just' must be a JSON object")
+    if orient is not None and not isinstance(orient, str):
+        raise CertificateError(f"node {m}: 'orient' must be a JSON string")
+    # the recorded value itself must be a reduced p/q, not merely denote one
+    num, sep, den = text.partition("/")
+    try:
+        frac = TangleFraction(int(num), int(den) if sep else 1)
+    except ValueError as exc:
+        raise CertificateError(f"node {m}: bad fraction {text!r}: {exc}") from None
+    if "base" in j:
+        name = j["base"]
+        if not isinstance(name, str):
+            raise CertificateError(f"node {m}: 'base' must be a JSON string")
+        return CertNode(frac, orient, ("base", name))
+    if "triple" in j:
+        pair, res = j["triple"], j.get("resolution")
+        if not (
+            type(pair) is list and len(pair) == 2
+            and type(pair[0]) is int and type(pair[1]) is int
+        ):
+            raise CertificateError(f"node {m}: 'triple' must be two node indices")
+        if res is not None and type(res) is not int:
+            raise CertificateError(f"node {m}: 'resolution' must be a node index")
+        return CertNode(frac, orient, ("triple", pair[0], pair[1], res))
+    raise CertificateError(f"node {m}: 'just' needs a base or a triple")
+
+
+def _field(obj: dict, key: str, typ: type, where: str):
+    if key not in obj:
+        raise CertificateError(f"{where} lacks {key!r}")
+    value = obj[key]
+    if not isinstance(value, typ):
+        raise CertificateError(f"{where}: {key!r} must be a JSON {typ.__name__}")
+    return value
 
 
 def save_certificate(cert: Certificate, path: str) -> None:

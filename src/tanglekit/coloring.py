@@ -141,18 +141,37 @@ def determinant(d: LinkDiagram) -> int:
     return abs(bareiss_determinant(_minor(cm.entries, k - 1, k - 1)))
 
 
+# Deterministic Miller-Rabin: the first twelve primes as bases decide every
+# n below _MR_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases"); larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"{n} is beyond the proven range of the primality test (< {_MR_LIMIT})"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -52,7 +52,7 @@ _CLASS_BY_PARITY = {(0, 1): AB_CD, (1, 0): AC_BD, (1, 1): AD_BC}
 _PARITY_BY_CLASS = {v: k for k, v in _CLASS_BY_PARITY.items()}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TangleFraction:
     """A reduced element of Q+ : q >= 0, gcd(|p|, q) = 1, infinity stored as 1/0."""
 
@@ -366,12 +366,16 @@ def orientation_class(f: TangleFraction) -> str | None:
     return ANTIPARALLEL if f.p % 2 == 0 else PARALLEL
 
 
+_PARALLEL_CLASSES = frozenset((AD_BC, AC_BD))
+_ANTIPARALLEL_CLASSES = frozenset((AB_CD, AC_BD))
+
+
 def compatible_classes(tag: str) -> frozenset[str]:
     """Connectivity classes insertable into the default closure for a given
     relative orientation of its two closure arcs. The a-c/b-d class is
     compatible either way; the other two split between the orientations."""
     if tag == PARALLEL:
-        return frozenset((AD_BC, AC_BD))
+        return _PARALLEL_CLASSES
     if tag == ANTIPARALLEL:
-        return frozenset((AB_CD, AC_BD))
+        return _ANTIPARALLEL_CLASSES
     raise ValueError(f"unknown orientation tag: {tag!r}")

@@ -1,6 +1,9 @@
+import copy
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tanglekit.certify import (
     ANTIPARALLEL,
@@ -11,6 +14,7 @@ from tanglekit.certify import (
     Certificate,
     CertificateError,
     OrientedTarget,
+    Verdict,
     certificate_from_json,
     certificate_to_json,
     component_reduction_step,
@@ -22,6 +26,7 @@ from tanglekit.certify import (
     verify_certificate,
 )
 from tanglekit.coloring import determinant
+from tanglekit.corpus import bundled_templates
 from tanglekit.diagram import parse_pd
 from tanglekit.skein import (
     TangleTemplate,
@@ -34,6 +39,7 @@ from tanglekit.tangle import TangleFraction, connectivity, compatible_classes
 
 F = TangleFraction.parse
 TREFOIL = parse_pd("X[1,2,3,4] X[2,5,6,3] X[4,6,5,1]")
+TEMPLATES = bundled_templates()
 
 
 def node_fracs(cert):
@@ -146,6 +152,21 @@ class TestForgeries:
         v = verify_certificate(forged)
         assert not v.accepted and v.check == 0
 
+    def test_memoized_refit_still_compares_coefficients(self):
+        # the refit of this diagram is remembered after the first ACCEPT;
+        # tampered coefficients on the same diagram must still fail check 0
+        twist = TEMPLATES["twist"]
+        c = span_certificate(F("2/5"), ambient=twist)
+        assert verify_certificate(c).accepted
+        tampered = TangleTemplate(twist.diagram, ((-1, 2),))
+        v = verify_certificate(Certificate(c.kind, c.nodes, tampered))
+        assert not v.accepted and v.check == 0
+        data = certificate_to_json(c)
+        data["ambient"]["coeffs"] = [1, -1]
+        v = verify_certificate(certificate_from_json(data))
+        assert not v.accepted and v.check == 0
+        assert verify_certificate(c).accepted
+
     def test_span_rejects_zero_locus_of_custom_ambient(self):
         from tanglekit.corpus import bundled_templates
 
@@ -257,6 +278,28 @@ class TestOrientedSpan:
         assert verify_certificate(c).accepted
 
 
+    def test_mirrored_target_zero_locus_is_tested_in_the_output_frame(self):
+        # 19/55's derivation meets 1/1, the mirror image of the twist
+        # template's zero locus -1/1, so -19/55 has no parallel certificate
+        with pytest.raises(CertificateError, match="zero locus -1/1"):
+            oriented_span_certificate(
+                OrientedTarget(F("-19/55"), PARALLEL), TEMPLATES["twist"]
+            )
+
+    def test_negative_targets_on_twist_verify_or_raise(self):
+        for f in reduced_fractions(12):
+            if f.q == 0 or f.p >= 0:
+                continue
+            for tag in (PARALLEL, ANTIPARALLEL):
+                try:
+                    c = oriented_span_certificate(
+                        OrientedTarget(f, tag), TEMPLATES["twist"]
+                    )
+                except CertificateError:
+                    continue
+                assert verify_certificate(c).accepted, (f, tag)
+
+
 class TestConnectedSumLift:
     def test_lift_by_trefoil(self):
         c1 = span_certificate(F("1/3"))
@@ -365,3 +408,162 @@ class TestSerialization:
         save_certificate(span_certificate(F("7/19")), str(p1))
         save_certificate(span_certificate(F("7/19")), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            "certificate",
+            {"kind": "unoriented", "nodes": []},
+            {"kind": "unoriented", "ambient": {"pd": "T[1,2,1,2]"}, "nodes": []},
+            {
+                "kind": "unoriented",
+                "ambient": {"pd": "X[1,2,3", "coeffs": [1, 0]},
+                "nodes": [],
+            },
+        ],
+    )
+    def test_malformed_json_raises_certificate_error(self, data):
+        with pytest.raises(CertificateError):
+            certificate_from_json(data)
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"frac": "2/5", "just": {"triple": [0]}},
+            {"frac": "2/5", "just": {"triple": [0, "1"]}},
+            {"frac": "2/5", "just": {"triple": [0, 1], "resolution": "0"}},
+            {"frac": "2/5", "just": {}},
+            {"frac": "2/5"},
+            {"frac": 0.4, "just": {"base": "unknot"}},
+            {"frac": "2/x", "just": {"base": "unknot"}},
+            {"frac": "4/10", "just": {"base": "unknot"}},
+            {"frac": "2/5", "just": {"base": 1}},
+            {"frac": "2/5", "just": {"base": "unknot"}, "orient": 1},
+            ["2/5"],
+        ],
+    )
+    def test_malformed_node_raises_certificate_error(self, node):
+        data = certificate_to_json(span_certificate(F("2/5")))
+        data["nodes"][-1] = node
+        with pytest.raises(CertificateError):
+            certificate_from_json(data)
+
+
+# SHA-256 of json.dumps(certificate_to_json(c), sort_keys=True), recorded
+# before the generators moved to integer pairs: bytes must not change.
+GOLDEN = {
+    ("figure8", None, "13/34"): "c8f1b60b99945bbc29997ced85ad52dcc436c7c03d7c619aa1e8566c0382989b",
+    ("figure8", None, "233/377"): "fcd3e5fda26e4416514cbc4ce59dfdebfeea6cbabf27dfc552494d74ecfcf22c",
+    ("figure8", None, "1/500"): "972c92150ed5471801075711e14579ad60f0217d41fe90cbf15612978ea09db8",
+    ("figure8", PARALLEL, "21/55"): "f71db6bb017aca19dbc4425244734ffc6a598bb0b26c67672b412c16d480880b",
+    ("figure8", PARALLEL, "7/12"): "fdee9972eb93b5e67e789ac06b974f40157bee9926afa060cc2e146aac760669",
+    ("figure8", PARALLEL, "1/509"): "1449440f77b52fbee51d9a26fbd0ccf2d04d4b2e61fe9261093ef877f82622c3",
+    ("figure8", ANTIPARALLEL, "34/89"): "0e044ed5ffc8397244544e1fed8b512860290cfb25e6dc8f73a0f9b92d1b688b",
+    ("figure8", ANTIPARALLEL, "7/12"): "29cbd12dc09b43d440c5d21e1cedc3104ec050345ca2fb231b2337ffaa2223c4",
+    ("figure8", ANTIPARALLEL, "1/500"): "1214e927aedd750d9a91702d70b855a7c90777ac120a733b69db80a67e27fbe1",
+    ("twist", None, "13/34"): "e802acc1b5c4fdfe6636e5303b0be9ce3ab9e28314af9f950bac8a2d1e328448",
+    ("twist", None, "233/377"): "85efae4a401b1d3cabf7819f598121712593124353c64df2d891597355aed492",
+    ("twist", None, "1/500"): "0ac53b3c5bac3c2b84e3cda6cfb589a688a49bd8f1bd78c5d8a18fd156b35591",
+    ("twist", PARALLEL, "21/55"): "030a9ee90ad72b338841c2811efafc3ee40615923dba0d610ff50527bc2489dd",
+    ("twist", PARALLEL, "7/12"): "81584b67f8563b6675f748b3a8cfc8b0857cbc14fbaa6f3d4acdd2643f0cc177",
+    ("twist", PARALLEL, "1/509"): "1c99dbfdf2bb1072307488d363b1c52016e31babba166debbef0ac7a8d58f35d",
+    ("twist", ANTIPARALLEL, "34/89"): "08537c3905b8a8655e5bbde8dc39e15bde806b28a3f63eea605e306c3f20ec27",
+    ("twist", ANTIPARALLEL, "7/12"): "a6326bc1d6e038b8270e9c3a50fda2e580e6390e7881360e6deca1058bed1860",
+    ("twist", ANTIPARALLEL, "1/500"): "fb193d82a469a09a78ab7637932f7829e84e7a7c8d666da0437b06624e89fffb",
+    ("trefoil_sum", None, "13/34"): "e43a93b5bd1c0f8efd5d73ee7f0ab4b23bbb39b7e2846c56d353329935bff31e",
+    ("trefoil_sum", None, "233/377"): "9c3f6fc37e78ea503160e23f596c590a3ba27ccf9ab5e61bdcacce7d21c9f5cf",
+    ("trefoil_sum", None, "1/500"): "e3f941e1774aef7ad336967f16587f80e87801b36b5d3ae9ce6cda74656de350",
+    ("trefoil_sum", PARALLEL, "21/55"): "2d0abed6d44c28680e688eac188b20d2ab6f5cc6402a984fa54a73fdabbdde42",
+    ("trefoil_sum", PARALLEL, "7/12"): "4cdcab57a5b8ecfcf6d0aa67b1d8642879a72063e5cf36f17eeb6f9db1c068fe",
+    ("trefoil_sum", PARALLEL, "1/509"): "226bf696503ed332bd4e4b36b8f4922c4cd2674f5227c173daeb7da301c9d62f",
+    ("trefoil_sum", ANTIPARALLEL, "34/89"): "d4529e951a14217280bf38a30f1e65e6aa30df7c207e6adba97d2c4b0517ffa6",
+    ("trefoil_sum", ANTIPARALLEL, "7/12"): "9e4311c1de62e3fb16dfc1601a0312428a717ccef5bfbf9631210c289cf37a78",
+    ("trefoil_sum", ANTIPARALLEL, "1/500"): "c021c423a1153c5126b77ce8499ed02d5a426e899a2cc45d27b6370aefc54437",
+}
+
+
+@pytest.mark.parametrize("ambient,tag,target", sorted(GOLDEN, key=str))
+def test_certificate_bytes_are_unchanged(ambient, tag, target):
+    t = TEMPLATES[ambient]
+    if tag is None:
+        c = span_certificate(F(target), t)
+    else:
+        c = oriented_span_certificate(OrientedTarget(F(target), tag), t)
+    text = json.dumps(certificate_to_json(c), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[ambient, tag, target]
+    assert verify_certificate(certificate_from_json(json.loads(text))).accepted
+
+
+# -- fuzzing the JSON loader ------------------------------------------------------
+
+SEED_CERTS = [
+    certificate_to_json(span_certificate(F("5/13"))),
+    certificate_to_json(
+        oriented_span_certificate(OrientedTarget(F("2/5"), ANTIPARALLEL))
+    ),
+    certificate_to_json(
+        oriented_span_certificate(OrientedTarget(F("1/4"), PARALLEL), TEMPLATES["twist"])
+    ),
+]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(
+        ["1/2", "0/1", "3/-4", "1/0", "unknot", "hopf", "parallel", "T[1,2,1,2]"]
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["base", "triple", "resolution", "frac", "just", "orient"])
+        | st.text(max_size=4),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+def _containers(obj, found):
+    if isinstance(obj, (dict, list)):
+        found.append(obj)
+        for v in obj.values() if isinstance(obj, dict) else obj:
+            _containers(v, found)
+    return found
+
+
+@st.composite
+def mutated_certificates(draw):
+    data = copy.deepcopy(draw(st.sampled_from(SEED_CERTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        spots = _containers(data, [])
+        if not spots:
+            break
+        box = draw(st.sampled_from(spots))
+        keys = list(box) if isinstance(box, dict) else list(range(len(box)))
+        action = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "insert" or not keys:
+            value = draw(JSON_VALUES)
+            if isinstance(box, dict):
+                box[draw(st.text(max_size=6))] = value
+            else:
+                box.insert(draw(st.integers(0, len(box))), value)
+            continue
+        key = draw(st.sampled_from(keys))
+        if action == "replace":
+            box[key] = draw(JSON_VALUES)
+        else:
+            del box[key]
+    return data
+
+
+@given(mutated_certificates())
+@settings(max_examples=300, deadline=None)
+def test_mutated_json_yields_a_verdict_or_certificate_error(data):
+    try:
+        cert = certificate_from_json(data)
+    except CertificateError:
+        return
+    assert isinstance(verify_certificate(cert), Verdict)

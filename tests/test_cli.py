@@ -1,6 +1,8 @@
 import json
+import time
 
 import pytest
+import sympy
 
 from tanglekit.cli import run
 
@@ -39,6 +41,21 @@ class TestColorable:
     def test_composite_modulus_rejected(self, capsys):
         code, _, err = invoke(capsys, "colorable", "--n", "6", TREFOIL)
         assert code == 1
+
+
+    def test_large_prime_modulus_answers_at_once(self, capsys):
+        n = 1000000000000000003
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "colorable", "--n", str(n), TREFOIL)
+        assert time.perf_counter() - start < 2.0
+        assert sympy.isprime(n)
+        assert code == 0 and out.strip() == "false"
+
+    def test_modulus_beyond_proven_primality_range_is_domain_error(self, capsys):
+        code, _, err = invoke(
+            capsys, "colorable", "--n", "318665857834031151167483", TREFOIL
+        )
+        assert code == 1 and err.startswith("error:")
 
 
 class TestTangle:
@@ -120,6 +137,23 @@ class TestCertifyVerify:
     def test_incompatible_orientation_is_domain_error(self, capsys):
         code, _, err = invoke(capsys, "certify", "1/3", "--oriented", "antiparallel")
         assert code == 1 and "error" in err
+
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"kind": "unoriented", "nodes": []}',
+            '{"kind": "unoriented", "ambient": {"pd": "T[1,2,1,2]", "coeffs": [1, 0]},'
+            ' "nodes": [{"frac": "2/5", "just": {"triple": [0]}}]}',
+            "{not json",
+        ],
+    )
+    def test_malformed_certificate_file_is_domain_error(self, capsys, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "verify", str(path))
+        assert code == 1 and out == "" and err.startswith("error:")
 
 
 class TestCorpus:
