@@ -15,7 +15,7 @@ that never passes under) have determinant 0.
 
 from __future__ import annotations
 
-from .diagram import LinkDiagram, PDError
+from .diagram import LinkDiagram, PDError, _UnionFind
 
 __all__ = [
     "ColoringMatrix",
@@ -47,23 +47,14 @@ class ColoringMatrix:
 
 def _fox_arcs(d: LinkDiagram) -> tuple[dict[int, int], int]:
     """Map each edge label to its arc index; arcs merge over-strand passages."""
-    n = d.arc_count
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind()
     for _, b, _, dd in d.crossings:
-        parent[find(b)] = find(dd)
+        uf.union(b, dd)
     arc_index: dict[int, int] = {}
-    for e in range(1, n + 1):
-        r = find(e)
-        if r not in arc_index:
-            arc_index[r] = len(arc_index)
-    return {e: arc_index[find(e)] for e in range(1, n + 1)}, len(arc_index)
+    arc_of: dict[int, int] = {}
+    for e in range(1, d.arc_count + 1):
+        arc_of[e] = arc_index.setdefault(uf.find(e), len(arc_index))
+    return arc_of, len(arc_index)
 
 
 def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:

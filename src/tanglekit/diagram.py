@@ -20,7 +20,9 @@ are derived. Crossing-free loops carry no flag.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import combinations
 
 __all__ = [
     "LinkDiagram",
@@ -59,14 +61,18 @@ def _canon(t: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
 
 
 class _UnionFind:
-    def __init__(self, labels) -> None:
-        self.parent = {x: x for x in labels}
+    """Disjoint sets of edge labels; a label never merged is its own root."""
+
+    def __init__(self) -> None:
+        self.parent: dict[int, int] = {}
 
     def find(self, x: int) -> int:
         p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
+        while x in p:
+            up = p[x]
+            if up in p:
+                up = p[x] = p[up]
+            x = up
         return x
 
     def union(self, x: int, y: int) -> bool:
@@ -209,28 +215,27 @@ def _rebuild(
     slots,
     loops: int,
     label_map=None,
-) -> tuple[LinkDiagram, dict[int, int]]:
+) -> tuple[LinkDiagram, dict[int, int], tuple[int, ...]]:
     """Relabel (optional map), compact to 1..n by first appearance, build.
 
-    Returns (diagram, compact map from mapped label to new label).
+    Returns (diagram, compact map from mapped label to new label, per-crossing
+    position rotation applied by canonicalization).
     """
-    mapped_crossings = []
-    for t in crossings:
-        mapped_crossings.append(tuple(label_map(e) if label_map else e for e in t))
-    mapped_slots = []
-    for t in slots:
-        mapped_slots.append(tuple(label_map(e) if label_map else e for e in t))
-    labels = {e for t in mapped_crossings + mapped_slots for e in t}
+    if label_map is not None:
+        crossings = [tuple(map(label_map, t)) for t in crossings]
+        slots = [tuple(map(label_map, t)) for t in slots]
+    tuples = [*crossings, *slots]
+    labels = {e for t in tuples for e in t}
     if labels == set(range(1, len(labels) + 1)):
         compact = {e: e for e in labels}
     else:
         compact = {}
-        for t in mapped_crossings + mapped_slots:
+        for t in tuples:
             for e in t:
                 if e not in compact:
                     compact[e] = len(compact) + 1
-    new_crossings = tuple(tuple(compact[e] for e in t) for t in mapped_crossings)
-    new_slots = tuple(tuple(compact[e] for e in t) for t in mapped_slots)
+    new_crossings = tuple(tuple(compact[e] for e in t) for t in crossings)
+    new_slots = tuple(tuple(compact[e] for e in t) for t in slots)
     diagram = LinkDiagram(new_crossings, new_slots, loops)
     # the constructor may rotate a tuple by two; record the shift per crossing
     rotations = tuple(
@@ -239,23 +244,18 @@ def _rebuild(
     return diagram, compact, rotations
 
 
-def _orient_from_heads(new: LinkDiagram, heads: dict[int, Occ]) -> tuple[int, ...]:
-    """Orientation flags for `new` given inherited head occurrences: for each
-    directed surviving edge, the occurrence its strand flows into."""
+def _inherit_orientation(new: LinkDiagram, heads: dict[int, Occ]) -> tuple[int, ...]:
+    """Orientation flags for `new` from inherited heads: for each directed
+    edge, the occurrence its strand flows into. A unit whose heads disagree
+    has no consistent orientation."""
     flags: list[int] = []
     for unit in new._trace():
-        flag = 0
-        for e, frm, to in unit:
-            h = heads.get(e)
-            if h == to:
-                flag = 1
-                break
-            if h == frm:
-                flag = -1
-                break
-        if flag == 0:
+        votes = {1 if heads[e] == to else -1 for e, _, to in unit if e in heads}
+        if not votes:
             raise PDError("cannot inherit orientation: unit has no directed edge")
-        flags.append(flag)
+        if len(votes) > 1:
+            raise PDError("strand directions disagree after surgery")
+        flags.append(votes.pop())
     return tuple(flags)
 
 
@@ -355,22 +355,48 @@ def components(d: LinkDiagram) -> int:
 
 
 def _surgery(
-    d: LinkDiagram, site: int, joins: list[tuple[int, int]]
-) -> tuple[LinkDiagram, dict[int, int], tuple[int, ...]]:
-    """Remove crossing `site`, identify edge pairs, renormalize.
+    d: LinkDiagram,
+    crossings: tuple[tuple[int, int, int, int], ...],
+    slots: tuple[tuple[int, int, int, int], ...],
+    joins: Iterable[tuple[int, int]],
+    where: Callable[[Occ], Occ | None] | None,
+) -> LinkDiagram:
+    """Build `crossings` and `slots` with each edge-label pair in `joins`
+    identified; a join that closes a cycle leaves a free loop.
 
-    Returns (diagram, compact label map over union-find representatives,
-    per-crossing position rotations applied by canonicalization)."""
-    labels = range(1, d.arc_count + 1)
-    uf = _UnionFind(labels)
-    closed = 0
-    for x, y in joins:
-        if not uf.union(x, y):
-            closed += 1
-    rest = [t for i, t in enumerate(d.crossings) if i != site]
-    new, compact, rotations = _rebuild(rest, d.slots, d.loops + closed, uf.find)
-    mapping = {e: compact[uf.find(e)] for e in labels if uf.find(e) in compact}
-    return new, mapping, rotations
+    For an oriented `d`, `where(occ)` places each old occurrence in the new
+    tuples (positions before canonical rotation), or gives None where the
+    surgery removed it. Each old edge hands its head, where it survives, to
+    its merged label: a label that is not a free loop keeps exactly one.
+    """
+    uf = _UnionFind()
+    closed = sum(not uf.union(x, y) for x, y in joins)
+    new, compact, rotations = _rebuild(crossings, slots, d.loops + closed, uf.find)
+    if d.orientation is None:
+        return new
+    heads: dict[int, Occ] = {}
+    for e, (_, head) in d.edge_directions().items():
+        o = where(head)
+        if o is not None:
+            kind, i, p = o
+            if kind == 0:
+                o = (0, i, (p + rotations[i]) % 4)
+            heads[compact[uf.find(e)]] = o
+    return new.with_orientation(_inherit_orientation(new, heads))
+
+
+def _smooth(d: LinkDiagram, i: int, which: int) -> LinkDiagram:
+    """Remove crossing i, joining its edges the chosen way (0 or 1)."""
+    t = d.crossings[i]
+    joins = [(t[0], t[3]), (t[1], t[2])] if which == 0 else [(t[0], t[1]), (t[2], t[3])]
+
+    def where(o: Occ) -> Occ | None:
+        kind, idx, p = o
+        if kind == 1 or idx < i:
+            return o
+        return None if idx == i else (0, idx - 1, p)
+
+    return _surgery(d, d.crossings[:i] + d.crossings[i + 1 :], d.slots, joins, where)
 
 
 def resolve(d: LinkDiagram, site: "CrossingSite | int", which: int) -> LinkDiagram:
@@ -384,10 +410,7 @@ def resolve(d: LinkDiagram, site: "CrossingSite | int", which: int) -> LinkDiagr
         raise PDError("smoothing must be 0 or 1")
     if d.is_oriented:
         raise PDError("resolve acts on unoriented diagrams; see oriented_resolve")
-    t = d.crossings[i]
-    joins = [(t[0], t[3]), (t[1], t[2])] if which == 0 else [(t[0], t[1]), (t[2], t[3])]
-    out, _, _ = _surgery(d, i, joins)
-    return out
+    return _smooth(d, i, which)
 
 
 def crossing_change(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
@@ -399,26 +422,14 @@ def crossing_change(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
     i = _site_index(site)
     if not 0 <= i < len(d.crossings):
         raise PDError(f"crossing index {i} out of range")
-    t = d.crossings[i]
-    raw = (t[1], t[2], t[3], t[0])
-    flipped = _canon(raw)
-    rot = 0 if flipped == raw else 2
-    new_crossings = d.crossings[:i] + (flipped,) + d.crossings[i + 1 :]
-    out = LinkDiagram(new_crossings, d.slots, d.loops)
-    if d.orientation is None:
-        return out
+    a, b, c, e = d.crossings[i]
+    crossings = d.crossings[:i] + ((b, c, e, a),) + d.crossings[i + 1 :]
 
-    def map_occ(o: Occ) -> Occ:
-        kind, idx, p = o
-        if kind == 0 and idx == i:
-            # old position p sits at raw position p-1, then the rotation
-            return (0, i, ((p + 3) + rot) % 4)
-        return o
+    def where(o: Occ) -> Occ:
+        # old position p sits at position p - 1 of the flipped tuple
+        return (0, i, (o[2] + 3) % 4) if o[:2] == (0, i) else o
 
-    heads = {
-        e: map_occ(head) for e, (_, head) in d.edge_directions().items()
-    }
-    return out.with_orientation(_orient_from_heads(out, heads))
+    return _surgery(d, crossings, d.slots, (), where)
 
 
 def oriented_resolve(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
@@ -430,54 +441,13 @@ def oriented_resolve(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
     if not 0 <= i < len(d.crossings):
         raise PDError(f"crossing index {i} out of range")
     ins = d.incoming_positions(i)
-    t = d.crossings[i]
     if ins in ({0, 3}, {1, 2}):
-        joins = [(t[0], t[1]), (t[2], t[3])]
+        which = 1
     elif ins in ({0, 1}, {2, 3}):
-        joins = [(t[0], t[3]), (t[1], t[2])]
+        which = 0
     else:  # pragma: no cover - tracing guarantees one under-, one over-entry
         raise PDError(f"inconsistent directions at crossing {i}: {ins}")
-    stripped = d.with_orientation(None)
-    out, label_map, rotations = _surgery(stripped, i, joins)
-
-    join_partner: dict[int, int] = {}
-    pos_pairs = ((0, 1), (2, 3)) if ins in ({0, 3}, {1, 2}) else ((0, 3), (1, 2))
-    for x, y in pos_pairs:
-        join_partner[x] = y
-        join_partner[y] = x
-
-    occ = d.occurrences()
-
-    def map_occ(o: Occ) -> Occ:
-        kind, idx, p = o
-        if kind != 0:
-            return o
-        new_idx = idx - 1 if idx > i else idx
-        return (0, new_idx, (p + rotations[new_idx]) % 4)
-
-    def chase(o: Occ) -> Occ | None:
-        """Follow a strand head through the smoothed site to a surviving
-        occurrence; None when the strand closed into a free loop."""
-        seen = set()
-        while o[0] == 0 and o[1] == i:
-            if o in seen:
-                return None
-            seen.add(o)
-            exit_pos = join_partner[o[2]]
-            e2 = d.crossings[i][exit_pos]
-            a, b = occ[e2]
-            o = b if a == (0, i, exit_pos) else a
-        return map_occ(o)
-
-    heads: dict[int, Occ] = {}
-    for e, (tail, head) in d.edge_directions().items():
-        if e not in label_map:
-            continue
-        h = chase(head)
-        if h is not None:
-            heads[label_map[e]] = h
-    flags = _orient_from_heads(out, heads)
-    return out.with_orientation(flags)
+    return _smooth(d, i, which)
 
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
@@ -560,73 +530,34 @@ def fill_slot(
 
     `stubs` are the tangle's (nw, ne, sw, se) boundary edges in its own label
     space; they are glued to the slot's (a, b, c, d). Orientation, when
-    present, carries to the result.
+    present, carries to the result; a tangle whose strands join two entering
+    or two leaving slot endpoints raises PDError.
     """
     if not 0 <= slot_index < len(d.slots):
         raise PDError(f"slot index {slot_index} out of range")
     shift = d.arc_count
-    add = [tuple(e + shift for e in t) for t in crossings]
+    add = tuple(tuple(e + shift for e in t) for t in crossings)
     glue = [s + shift for s in stubs]
-    tangle_labels = {e for t in add for e in t} | set(glue)
     slot = d.slots[slot_index]
+    keep_slots = d.slots[:slot_index] + d.slots[slot_index + 1 :]
+    where = None
+    if d.orientation is not None:
+        dirs = d.edge_directions()
+        entering = [dirs[e][1] == (1, slot_index, p) for p, e in enumerate(slot)]
+        for p, q in combinations(range(4), 2):
+            if glue[p] == glue[q] and entering[p] == entering[q]:
+                raise PDError(f"tangle strand joins like-directed slot ends {p}, {q}")
+        # the tangle-side end of each stub; a stub running straight across to
+        # another boundary point has none
+        n_old = len(d.crossings)
+        inner = {
+            e: (0, n_old + j, p) for j, t in enumerate(add) for p, e in enumerate(t)
+        }
 
-    uf = _UnionFind(list(range(1, shift + 1)) + sorted(tangle_labels))
-    closed = 0
-    for end, stub in zip(slot, glue):
-        if not uf.union(end, stub):
-            closed += 1
-    keep_slots = tuple(t for j, t in enumerate(d.slots) if j != slot_index)
-    new, compact, rotations = _rebuild(
-        tuple(d.crossings) + tuple(add), keep_slots, d.loops + closed, uf.find
-    )
-    if d.orientation is None:
-        return new
+        def where(o: Occ) -> Occ | None:
+            kind, idx, p = o
+            if kind == 0 or idx < slot_index:
+                return o
+            return inner.get(glue[p]) if idx == slot_index else (1, idx - 1, p)
 
-    label_map = {e: compact.get(uf.find(e)) for e in range(1, shift + 1)}
-    occ = d.occurrences()
-    n_old = len(d.crossings)
-
-    # occurrences of each tangle edge: crossing positions and boundary stubs
-    tangle_occ: dict[int, list[tuple[str, int, int]]] = {}
-    for j, t in enumerate(add):
-        for p, e in enumerate(t):
-            tangle_occ.setdefault(e, []).append(("x", j, p))
-    for p, s in enumerate(glue):
-        tangle_occ.setdefault(s, []).append(("b", p, 0))
-
-    def map_occ(o: Occ) -> Occ:
-        kind, idx, p = o
-        if kind == 1:
-            return (1, idx - 1 if idx > slot_index else idx, p)
-        return (0, idx, (p + rotations[idx]) % 4)
-
-    def chase(o: Occ) -> Occ | None:
-        """Follow a strand head through the glued slot until it reaches a
-        crossing or a surviving slot; None when it closed into a loop."""
-        seen = set()
-        while o[0] == 1 and o[1] == slot_index:
-            if o in seen:
-                return None
-            seen.add(o)
-            s = glue[o[2]]
-            ends = tangle_occ[s]
-            # step into the tangle at boundary position o[2]
-            nxt = next(e for e in ends if e != ("b", o[2], 0))
-            if nxt[0] == "x":
-                return (0, n_old + nxt[1], (nxt[2] + rotations[n_old + nxt[1]]) % 4)
-            # the stub edge crosses straight to another boundary position
-            p2 = nxt[1]
-            e2 = slot[p2]
-            a, b = occ[e2]
-            o = b if a == (1, slot_index, p2) else a
-        return map_occ(o)
-
-    heads: dict[int, Occ] = {}
-    for e, (tail, head) in d.edge_directions().items():
-        if label_map.get(e) is None:
-            continue
-        h = chase(head)
-        if h is not None:
-            heads[label_map[e]] = h
-    flags = _orient_from_heads(new, heads)
-    return new.with_orientation(flags)
+    return _surgery(d, d.crossings + add, keep_slots, zip(slot, glue), where)
