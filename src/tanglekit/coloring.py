@@ -34,7 +34,6 @@ class ColoringMatrix:
     """Crossing-relation coefficients: rows index crossings, columns arcs."""
 
     entries: tuple[tuple[int, ...], ...]
-    arc_of_edge: tuple[int, ...]  # edge label (1-based) -> arc column index
 
     @property
     def rows(self) -> int:
@@ -75,8 +74,7 @@ def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
         row[arc_of[a]] -= 1
         row[arc_of[c]] -= 1
         rows.append(tuple(row))
-    edge_map = tuple(arc_of[e] for e in range(1, d.arc_count + 1))
-    return ColoringMatrix(tuple(rows), edge_map)
+    return ColoringMatrix(tuple(rows))
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:

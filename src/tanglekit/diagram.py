@@ -125,10 +125,8 @@ class LinkDiagram:
 
     @property
     def arc_count(self) -> int:
-        m = 0
-        for t in self.crossings + self.slots:
-            m = max(m, *t)
-        return m
+        # labels are compact 1..n and each occurs twice (__post_init__)
+        return 2 * (len(self.crossings) + len(self.slots))
 
     @property
     def is_oriented(self) -> bool:

@@ -21,14 +21,10 @@ from .tangle import (
     AD_BC,
     ANTIPARALLEL,
     PARALLEL,
-    CompiledTangle,
     TangleFraction,
-    TangleWord,
     compile_word,
     connectivity,
-    fraction_to_cf,
     fraction_word,
-    word_fraction,
 )
 
 __all__ = [
@@ -53,9 +49,6 @@ __all__ = [
     "ScanReport",
     "figure8_template",
     "reduced_fractions",
-    "aligned_words",
-    "mediant_words",
-    "AlignedWords",
 ]
 
 
@@ -122,8 +115,8 @@ class TangleTemplate:
 
 
 def farey_neighbor(f: TangleFraction) -> TangleFraction:
-    """A canonical reduced f' with |p*q' - q*p'| = 1: the least nonnegative
-    q' solving p*q' = 1 (mod q), found by the extended Euclidean algorithm."""
+    """A canonical reduced f' with |p*q' - q*p'| = 1: the least q' >= 0
+    solving p*q' = 1 (mod q), found by the extended Euclidean algorithm."""
     if f.q == 0:
         return TangleFraction(0, 1)
     qq = pow(f.p, -1, f.q) if f.q > 1 else 0
@@ -148,8 +141,8 @@ def unoriented_triple(pair: FareyPair) -> SkeinTriple:
 # -- splicing ----------------------------------------------------------------
 
 
-def splice(t: TangleTemplate, slot: int, w):
-    """Insert a tangle (fraction, word, or compiled crossings) into a slot.
+def splice(t: TangleTemplate, slot: int, f: TangleFraction):
+    """Insert the rational tangle f into a slot.
 
     Returns a plain LinkDiagram once every slot is filled, otherwise a
     TangleTemplate with the remaining slots. Oriented templates reject
@@ -157,19 +150,13 @@ def splice(t: TangleTemplate, slot: int, w):
     """
     if not 0 <= slot < t.slot_count:
         raise TemplateError(f"slot {slot} out of range")
-    if isinstance(w, CompiledTangle):
-        compiled, frac = w, None
-    else:
-        word = fraction_word(w) if isinstance(w, TangleFraction) else w
-        if not isinstance(word, TangleWord):
-            raise TypeError(f"cannot splice {type(w).__name__}")
-        compiled = compile_word(word)
-        frac = word_fraction(word)
-    if t.diagram.is_oriented and frac is not None:
-        if not orientation_compatible(t, slot, frac):
-            raise TemplateError(
-                f"tangle {frac} is not orientation compatible with slot {slot}"
-            )
+    if not isinstance(f, TangleFraction):
+        raise TypeError(f"splice takes a TangleFraction, not {type(f).__name__}")
+    if t.diagram.is_oriented and not orientation_compatible(t, slot, f):
+        raise TemplateError(
+            f"tangle {f} is not orientation compatible with slot {slot}"
+        )
+    compiled = compile_word(fraction_word(f))
     out = fill_slot(t.diagram, slot, compiled.crossings, compiled.stubs)
     if out.slots:
         coeffs = tuple(c for j, c in enumerate(t.coeffs) if j != slot)
@@ -289,14 +276,13 @@ def insertion_det(t: TangleTemplate, slot: int, f: TangleFraction) -> int:
     return abs(b * f.p - a * f.q)
 
 
-def reduced_fractions(bound: int, nonnegative: bool = False) -> list[TangleFraction]:
+def reduced_fractions(bound: int) -> list[TangleFraction]:
     """All reduced p/q with |p| <= bound and q <= bound, including 1/0."""
     out = []
     if bound >= 1:
         out.append(TangleFraction(1, 0))
     for q in range(1, bound + 1):
-        lo = 0 if nonnegative else -bound
-        for p in range(lo, bound + 1):
+        for p in range(-bound, bound + 1):
             if gcd(abs(p), q) == 1:
                 out.append(TangleFraction(p, q))
     return out
@@ -325,8 +311,8 @@ def two_slot_scan(
 ) -> ScanReport:
     """Count, for each first-slot insertion x, the second-slot insertions y
     giving determinant zero; at most one y can exist for each x."""
-    if t.slot_count < 2:
-        raise TemplateError("scan needs two open slots")
+    if t.slot_count != 2:
+        raise TemplateError("scan needs exactly two open slots")
     if slot1 == slot2:
         raise TemplateError("scan slots must differ")
     fractions = reduced_fractions(bound)
@@ -336,10 +322,7 @@ def two_slot_scan(
         filled = splice(t, slot1, x)
         zeros = []
         for y in fractions:
-            out = splice(filled, inner, y)
-            if isinstance(out, TangleTemplate):
-                raise TemplateError("scan requires exactly two open slots")
-            if determinant(out) == 0:
+            if determinant(splice(filled, inner, y)) == 0:
                 zeros.append(y)
         records.append((x, len(zeros), tuple(zeros)))
     return ScanReport(bound, tuple(records))
@@ -365,116 +348,3 @@ def figure8_template(tag: str | None = None) -> TangleTemplate:
     if tag == ANTIPARALLEL:
         return t.oriented((1, -1))
     raise ValueError(f"unknown orientation tag {tag!r}")
-
-
-# -- aligned compilations ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlignedWords:
-    """Structurally aligned compilations of a skein triple.
-
-    All four tangles share every twist block except the innermost one, where
-    the mediant carries k+1 twists, the two resolutions carry k and a trivial
-    pass, and the crossing-change companion is the mediant's compilation with
-    its distinguished crossing flipped.
-    """
-
-    mediant: CompiledTangle
-    res_block: CompiledTangle  # innermost block shortened by one twist
-    res_trivial: CompiledTangle  # innermost block replaced by the trivial pass
-    partner_flipped: CompiledTangle  # mediant with one crossing changed
-    distinguished: int
-    res_block_fraction: TangleFraction
-    res_trivial_fraction: TangleFraction
-    partner_fraction: TangleFraction
-
-
-def _raw_terms(f: TangleFraction) -> tuple[tuple[int, ...], str]:
-    """Reversed Euclidean quotients of |f| (innermost first) and the twist
-    direction ('h' or 'v') of the innermost block."""
-    cf = fraction_to_cf(f)
-    if cf.terms[0] is None:
-        return tuple(cf.terms[1:]), "v"
-    return tuple(cf.terms), "h"
-
-
-def _raw_word(terms: tuple[int, ...], parity: str) -> TangleWord:
-    start = "h" if parity == "h" else "v"
-    ops = []
-    kind = parity
-    for a in terms:
-        if a != 0:
-            ops.append((kind, a))
-        kind = "v" if kind == "h" else "h"
-    return TangleWord(start, tuple(ops))
-
-
-def _flip_crossing(t: CompiledTangle, index: int) -> CompiledTangle:
-    x = t.crossings[index]
-    flipped = (x[1], x[2], x[3], x[0])
-    return CompiledTangle(
-        t.crossings[:index] + (flipped,) + t.crossings[index + 1 :],
-        t.nw,
-        t.ne,
-        t.sw,
-        t.se,
-        t.label_count,
-        t.first_block_last,
-    )
-
-
-def mediant_words(med: TangleFraction) -> AlignedWords:
-    """Aligned compilation of a mediant's canonical skein triple.
-
-    The innermost twist block of the mediant's canonical word has one crossing
-    distinguished: undoing it shortens the block (one resolution), capping it
-    replaces the block with the trivial pass (the other), and flipping it is
-    the crossing change onto the companion."""
-    if med.p == 0 or med.q == 0:
-        raise ValueError(f"{med} has no twist block to resolve")
-    sign = 1 if med.p > 0 else -1
-    terms, parity = _raw_terms(med if sign == 1 else med.mirror())
-    if sign == -1:
-        terms = tuple(-a for a in terms)
-    t1, rest = terms[0], terms[1:]
-    flip_parity = "v" if parity == "h" else "h"
-
-    med_word = _raw_word(terms, parity)
-    res_block_word = _raw_word((t1 - sign,) + rest, parity)
-    res_trivial_word = _raw_word(rest, flip_parity)
-
-    med_compiled = compile_word(med_word)
-    distinguished = med_compiled.first_block_last
-    if distinguished is None:  # pragma: no cover - p != 0 implies a block
-        raise ValueError("mediant word has no crossings")
-
-    rb_frac = word_fraction(res_block_word)
-    rt_frac = word_fraction(res_trivial_word)
-    return AlignedWords(
-        mediant=med_compiled,
-        res_block=compile_word(res_block_word),
-        res_trivial=compile_word(res_trivial_word),
-        partner_flipped=_flip_crossing(med_compiled, distinguished),
-        distinguished=distinguished,
-        res_block_fraction=rb_frac,
-        res_trivial_fraction=rt_frac,
-        partner_fraction=TangleFraction.make(
-            rb_frac.p - rt_frac.p, rb_frac.q - rt_frac.q
-        ),
-    )
-
-
-def aligned_words(pair: FareyPair) -> AlignedWords:
-    """Compile a Farey pair's triple so the members differ only in the
-    innermost twist block of the mediant's canonical word; the pair must be
-    the mediant's canonical parent pair (integer mediants admit one other)."""
-    med = mediant(pair)
-    if med.p == 0:
-        raise ValueError("mediant 0/1 has no twist block to resolve")
-    aw = mediant_words(med)
-    if {aw.res_block_fraction, aw.res_trivial_fraction} != {pair.f1, pair.f2}:
-        raise ValueError(
-            f"pair {pair.f1}, {pair.f2} is not the canonical parent pair of {med}"
-        )
-    return aw

@@ -30,7 +30,6 @@ __all__ = [
     "compile_word",
     "fraction_word",
     "connectivity",
-    "trace_connectivity",
     "orientation_class",
     "compatible_classes",
     "PARALLEL",
@@ -61,7 +60,7 @@ class TangleFraction:
 
     def __post_init__(self) -> None:
         if self.q < 0:
-            raise ValueError("denominator must be nonnegative after normalization")
+            raise ValueError("denominator must be >= 0 after normalization")
         if self.q == 0 and self.p != 1:
             raise ValueError("infinity must be normalized to 1/0")
         if gcd(abs(self.p), self.q) != 1:
@@ -176,9 +175,7 @@ class CompiledTangle:
     """Crossings of a compiled word plus its four boundary edges.
 
     Crossing tuples follow the ambient PD convention (counterclockwise from the
-    incoming under-strand). Edge labels are 1..label_count; stub edges may
-    coincide (trivial tangles). first_block_last is the index of the last
-    crossing of the innermost twist block, when there is one.
+    incoming under-strand); stub edges may coincide (trivial tangles).
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -186,8 +183,6 @@ class CompiledTangle:
     ne: int
     sw: int
     se: int
-    label_count: int
-    first_block_last: int | None = None
 
     @property
     def stubs(self) -> tuple[int, int, int, int]:
@@ -284,8 +279,7 @@ def compile_word(w: TangleWord) -> CompiledTangle:
         nw = sw = 1
         ne = se = 2
 
-    first_block_last: int | None = None
-    for op_index, (kind, k) in enumerate(w.ops):
+    for kind, k in w.ops:
         for _ in range(abs(k)):
             a, b = next_label, next_label + 1
             next_label += 2
@@ -303,17 +297,7 @@ def compile_word(w: TangleWord) -> CompiledTangle:
                 else:
                     crossings.append((r, l, a, b))
                 sw, se = a, b
-        if op_index == 0:
-            first_block_last = len(crossings) - 1
-    return CompiledTangle(
-        crossings=tuple(crossings),
-        nw=nw,
-        ne=ne,
-        sw=sw,
-        se=se,
-        label_count=next_label - 1,
-        first_block_last=first_block_last,
-    )
+    return CompiledTangle(tuple(crossings), nw, ne, sw, se)
 
 
 def connectivity(f: TangleFraction) -> str:
@@ -324,36 +308,6 @@ def connectivity(f: TangleFraction) -> str:
 
 def class_parity(cls: str) -> tuple[int, int]:
     return _PARITY_BY_CLASS[cls]
-
-
-def trace_connectivity(t: CompiledTangle) -> str:
-    """Endpoint pairing found by brute-force strand tracing of compiled
-    crossings; independent of the parity rule."""
-    parent: dict[int, int] = {i: i for i in range(1, t.label_count + 1)}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    for a, b, c, d in t.crossings:
-        union(a, c)
-        union(b, d)
-    if find(t.nw) == find(t.ne):
-        if find(t.sw) != find(t.se):
-            raise ValueError("compiled tangle does not pair its endpoints")
-        return AB_CD
-    if find(t.nw) == find(t.sw):
-        if find(t.ne) != find(t.se):
-            raise ValueError("compiled tangle does not pair its endpoints")
-        return AC_BD
-    if find(t.nw) == find(t.se):
-        return AD_BC
-    raise ValueError("compiled tangle does not pair its endpoints")
 
 
 def orientation_class(f: TangleFraction) -> str | None:

@@ -1,0 +1,133 @@
+"""Test-only oracles of the tangle layer, kept apart from the library, which
+inserts tangles by fraction only: strand tracing, aligned compilations of skein
+triples, and insertion of compiled crossings straight into a slot."""
+
+from dataclasses import dataclass, replace
+
+from tanglekit.diagram import LinkDiagram, fill_slot
+from tanglekit.skein import FareyPair, TangleTemplate, mediant
+from tanglekit.tangle import AB_CD, AC_BD, AD_BC, CompiledTangle, TangleFraction
+from tanglekit.tangle import TangleWord, compile_word, fraction_to_cf, word_fraction
+
+
+def trace_connectivity(t: CompiledTangle) -> str:
+    """Endpoint pairing found by brute-force strand tracing of compiled
+    crossings; independent of the parity rule."""
+    parent = {e: e for x in t.crossings for e in x}
+    parent.update((e, e) for e in t.stubs)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        parent[find(x)] = find(y)
+
+    for a, b, c, d in t.crossings:
+        union(a, c)
+        union(b, d)
+    if find(t.nw) == find(t.ne):
+        if find(t.sw) != find(t.se):
+            raise ValueError("compiled tangle does not pair its endpoints")
+        return AB_CD
+    if find(t.nw) == find(t.sw):
+        if find(t.ne) != find(t.se):
+            raise ValueError("compiled tangle does not pair its endpoints")
+        return AC_BD
+    if find(t.nw) == find(t.se):
+        return AD_BC
+    raise ValueError("compiled tangle does not pair its endpoints")
+
+
+def insert(t: TangleTemplate, compiled: CompiledTangle) -> LinkDiagram:
+    """Fill the only slot of a one-slot template with compiled crossings."""
+    return fill_slot(t.diagram, 0, compiled.crossings, compiled.stubs)
+
+
+@dataclass(frozen=True)
+class AlignedWords:
+    """Structurally aligned compilations of a skein triple.
+
+    The resolutions' words share every twist block of the mediant's except
+    the innermost one, where the mediant carries k+1 twists, one resolution
+    k (res_block) and the other a trivial pass (res_trivial); the
+    crossing-change companion is the mediant's compilation with its
+    distinguished crossing flipped.
+    """
+
+    mediant: CompiledTangle
+    partner_flipped: CompiledTangle
+    distinguished: int
+    res_block_fraction: TangleFraction
+    res_trivial_fraction: TangleFraction
+    partner_fraction: TangleFraction
+
+
+def _raw_word(terms: tuple[int, ...], parity: str) -> TangleWord:
+    ops = []
+    kind = parity
+    for a in terms:
+        if a != 0:
+            ops.append((kind, a))
+        kind = "v" if kind == "h" else "h"
+    return TangleWord(parity, tuple(ops))
+
+
+def _flip_crossing(t: CompiledTangle, index: int) -> CompiledTangle:
+    x = t.crossings[index]
+    flipped = (x[1], x[2], x[3], x[0])
+    return replace(
+        t, crossings=t.crossings[:index] + (flipped,) + t.crossings[index + 1 :]
+    )
+
+
+def mediant_words(med: TangleFraction) -> AlignedWords:
+    """Aligned compilation of a mediant's canonical skein triple.
+
+    The innermost twist block of the mediant's canonical word has one crossing
+    distinguished: undoing it shortens the block (one resolution), capping it
+    replaces the block with the trivial pass (the other), and flipping it is
+    the crossing change onto the companion."""
+    if med.p == 0 or med.q == 0:
+        raise ValueError(f"{med} has no twist block to resolve")
+    sign = 1 if med.p > 0 else -1
+    # innermost block first, signed like med; a leading 1/0 term means the
+    # innermost block twists vertically
+    cf = fraction_to_cf(med).terms
+    terms, parity = (cf[1:], "v") if cf[0] is None else (cf, "h")
+    t1, rest = terms[0], terms[1:]
+    flip_parity = "v" if parity == "h" else "h"
+
+    med_compiled = compile_word(_raw_word(terms, parity))
+    # the innermost block is compiled first: its last crossing is |a1| - 1
+    distinguished = abs(t1) - 1
+
+    rb_frac = word_fraction(_raw_word((t1 - sign,) + rest, parity))
+    rt_frac = word_fraction(_raw_word(rest, flip_parity))
+    return AlignedWords(
+        mediant=med_compiled,
+        partner_flipped=_flip_crossing(med_compiled, distinguished),
+        distinguished=distinguished,
+        res_block_fraction=rb_frac,
+        res_trivial_fraction=rt_frac,
+        partner_fraction=TangleFraction.make(
+            rb_frac.p - rt_frac.p, rb_frac.q - rt_frac.q
+        ),
+    )
+
+
+def aligned_words(pair: FareyPair) -> AlignedWords:
+    """Compile a Farey pair's triple so the members differ only in the
+    innermost twist block of the mediant's canonical word; the pair must be
+    the mediant's canonical parent pair (integer mediants admit one other)."""
+    med = mediant(pair)
+    if med.p == 0:
+        raise ValueError("mediant 0/1 has no twist block to resolve")
+    aw = mediant_words(med)
+    if {aw.res_block_fraction, aw.res_trivial_fraction} != {pair.f1, pair.f2}:
+        raise ValueError(
+            f"pair {pair.f1}, {pair.f2} is not the canonical parent pair of {med}"
+        )
+    return aw

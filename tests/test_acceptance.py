@@ -42,8 +42,8 @@ from tanglekit.tangle import (
     compile_word,
     connectivity,
     fraction_word,
-    trace_connectivity,
 )
+from tangle_oracles import trace_connectivity
 
 CORPUS = load_corpus()
 TEMPLATES = bundled_templates()

@@ -44,6 +44,7 @@ def test_double_occurrence_everywhere():
             for x in t:
                 counts[x] = counts.get(x, 0) + 1
         assert all(v == 2 for v in counts.values()), e.name
+        assert d.arc_count == max(counts, default=0), e.name
 
 
 def test_parity_law_over_corpus():

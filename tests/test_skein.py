@@ -4,12 +4,10 @@ from hypothesis import given, strategies as st
 from tanglekit.coloring import determinant
 from tanglekit.diagram import LinkDiagram, parse_pd, resolve
 from tanglekit.skein import (
-    AlignedWords,
     FareyPair,
     ScanReport,
     TangleTemplate,
     TemplateError,
-    aligned_words,
     compatible_classes_for_slot,
     farey_neighbor,
     figure8_template,
@@ -33,8 +31,11 @@ from tanglekit.tangle import (
     ANTIPARALLEL,
     PARALLEL,
     TangleFraction,
+    compile_word,
     connectivity,
+    fraction_word,
 )
+from tangle_oracles import aligned_words, insert
 
 F = TangleFraction.parse
 
@@ -167,6 +168,13 @@ class TestOrientation:
         assert isinstance(out, LinkDiagram)
         assert out.is_oriented
 
+    def test_splice_takes_only_fractions(self):
+        f = F("2/3")
+        for w in (fraction_word(f), compile_word(fraction_word(f))):
+            for t in (figure8_template(), figure8_template(ANTIPARALLEL)):
+                with pytest.raises(TypeError):
+                    splice(t, 0, w)
+
 
 class TestOrientedTriple:
     def test_base_pair(self):
@@ -228,10 +236,10 @@ class TestAlignedWords:
         for f1, f2 in [(F("1/2"), F("1/3")), (F("2/3"), F("1/2")), (F("3/4"), F("2/3"))]:
             pair = FareyPair(f1, f2)
             aw = aligned_words(pair)
-            d_med = splice(t, 0, aw.mediant)
+            d_med = insert(t, aw.mediant)
             dets = {determinant(resolve(d_med, aw.distinguished, w)) for w in (0, 1)}
             assert dets == {f1.q, f2.q}
-            d_part = splice(t, 0, aw.partner_flipped)
+            d_part = insert(t, aw.partner_flipped)
             assert determinant(d_part) == aw.partner_fraction.q
 
 
@@ -260,6 +268,13 @@ class TestTwoSlotScan:
                     d = determinant(out)
                     assert d % 2 == 1 and d != 0, (x, y)
         assert seen_knot
+
+    def test_rejects_three_slot_necklace(self):
+        # refused up front, before any splice: even bound 0 raises
+        t = TangleTemplate(parse_pd("T[1,2,3,4] T[2,5,4,6] T[5,1,6,3]"))
+        for bound in (0, 2):
+            with pytest.raises(TemplateError):
+                two_slot_scan(t, 0, 1, bound)
 
     def test_report_lines_format(self):
         t = TangleTemplate(parse_pd("T[1,2,3,4] T[2,1,4,3]"))

@@ -17,9 +17,9 @@ from tanglekit.tangle import (
     fraction_to_cf,
     fraction_word,
     orientation_class,
-    trace_connectivity,
     word_fraction,
 )
+from tangle_oracles import trace_connectivity
 
 
 def all_reduced(bound: int, include_infinity: bool = True):
