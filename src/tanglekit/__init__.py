@@ -36,6 +36,7 @@ from .diagram import (
     crossing_change,
     disjoint_union,
     fill_slot,
+    is_planar,
     oriented_resolve,
     parse_pd,
     pd_string,

@@ -31,6 +31,7 @@ __all__ = [
     "parse_pd",
     "pd_string",
     "components",
+    "is_planar",
     "resolve",
     "crossing_change",
     "oriented_resolve",
@@ -350,6 +351,44 @@ def components(d: LinkDiagram) -> int:
     if d.slots:
         raise PDError("diagram has unfilled slots")
     return len(d._trace()) + d.loops
+
+
+# Slot tuple positions (a, b, c, d) = (NW, NE, SW, SE) in counterclockwise
+# order: a, c, d, b.
+_SLOT_CYCLE = (0, 2, 3, 1)
+
+
+def is_planar(d: LinkDiagram) -> bool:
+    """V - E + F = 2 * (connected pieces) for the 4-valent graph whose
+    vertices are the crossings and slots, with each vertex's edges in
+    counterclockwise order; faces are traced as orbits of "cross the edge,
+    then turn to the next edge counterclockwise". Crossing-free loops are
+    ignored."""
+    rotations = list(d.crossings) + [
+        tuple(s[i] for i in _SLOT_CYCLE) for s in d.slots
+    ]
+    ends: dict[int, list[tuple[int, int]]] = {}
+    pieces = _UnionFind()
+    for v, rot in enumerate(rotations):
+        for i, e in enumerate(rot):
+            ends.setdefault(e, []).append((v, i))
+            pieces.union(rot[0], e)
+
+    faces = 0
+    seen: set[tuple[int, int]] = set()
+    for start in ((v, i) for v in range(len(rotations)) for i in range(4)):
+        if start in seen:
+            continue
+        faces += 1
+        dart = start
+        while dart not in seen:
+            seen.add(dart)
+            a, b = ends[rotations[dart[0]][dart[1]]]
+            w, j = b if a == dart else a
+            dart = (w, (j + 1) % 4)
+
+    n_pieces = len({pieces.find(e) for e in ends})
+    return len(rotations) - len(ends) + faces == 2 * n_pieces
 
 
 def _surgery(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .coloring import determinant
-from .diagram import LinkDiagram, fill_slot, parse_pd
+from .diagram import LinkDiagram, fill_slot, is_planar, parse_pd
 from .tangle import (
     AB_CD,
     AC_BD,
@@ -47,6 +47,7 @@ __all__ = [
     "insertion_det",
     "two_slot_scan",
     "ScanReport",
+    "MAX_SCAN_BOUND",
     "figure8_template",
     "reduced_fractions",
 ]
@@ -213,25 +214,36 @@ def oriented_triple(pair: FareyPair, t: TangleTemplate, slot: int) -> SkeinTripl
 # -- determinant model ---------------------------------------------------------
 
 
-def _insertion_determinant(t: TangleTemplate, slot: int, f: TangleFraction) -> int:
-    out = splice(TangleTemplate(t.diagram.with_orientation(None)), slot, f)
-    if isinstance(out, TangleTemplate):
-        raise TemplateError("fit requires all other slots to be filled")
-    return determinant(out)
+# Fractions a fitted model is checked against after the three probes; the
+# negative ones catch diagrams whose model fails only at negative insertions.
+_FIT_VALIDATION = (
+    TangleFraction(1, 2),
+    TangleFraction(2, 1),
+    TangleFraction(1, 3),
+    TangleFraction(-1, 2),
+    TangleFraction(-1, 1),
+)
 
 
 def fit_coefficients(t: TangleTemplate, slot: int = 0) -> tuple[int, int]:
     """Integers (a, b) with det(splice(p/q)) = |b*p - a*q|.
 
     Probed at 0/1, 1/0 and 1/1 (the third probe resolves the relative sign),
-    then validated against 1/2, 2/1 and 1/3; a mismatch means the slot does
-    not obey the linear model, i.e. a splicing bug.
+    then validated against 1/2, 2/1, 1/3, -1/2 and -1/1; a mismatch means the
+    slot does not obey the linear model (a splicing bug, or a diagram that is
+    not planar).
     """
     if t.slot_count != 1:
         raise TemplateError("fit one slot at a time: fill the others first")
-    det_a = _insertion_determinant(t, slot, TangleFraction(0, 1))
-    det_b = _insertion_determinant(t, slot, TangleFraction(1, 0))
-    det_c = _insertion_determinant(t, slot, TangleFraction(1, 1))
+    if t.diagram.is_oriented:
+        t = TangleTemplate(t.diagram.with_orientation(None))
+
+    def det_at(f: TangleFraction) -> int:
+        return determinant(splice(t, slot, f))
+
+    det_a = det_at(TangleFraction(0, 1))
+    det_b = det_at(TangleFraction(1, 0))
+    det_c = det_at(TangleFraction(1, 1))
     if abs(det_b - det_a) == det_c:
         a, b = det_a, det_b
     elif det_a + det_b == det_c:
@@ -240,8 +252,8 @@ def fit_coefficients(t: TangleTemplate, slot: int = 0) -> tuple[int, int]:
         raise TemplateError(
             f"no linear model fits probes ({det_a}, {det_b}, {det_c})"
         )
-    for f in (TangleFraction(1, 2), TangleFraction(2, 1), TangleFraction(1, 3)):
-        got = _insertion_determinant(t, slot, f)
+    for f in _FIT_VALIDATION:
+        got = det_at(f)
         want = abs(b * f.p - a * f.q)
         if got != want:
             raise TemplateError(
@@ -306,25 +318,80 @@ class ScanReport:
         ]
 
 
+# Largest bound two_slot_scan accepts. The scan itself costs a fixed number
+# of determinants; its report grows with the square of the bound, and with the
+# fourth power for a template whose every insertion pair has determinant zero
+# (a split one such as T[1,2,1,2] T[3,4,3,4], whose report at 30 is 7 MB).
+MAX_SCAN_BOUND = 30
+
+
 def two_slot_scan(
     t: TangleTemplate, slot1: int, slot2: int, bound: int
 ) -> ScanReport:
     """Count, for each first-slot insertion x, the second-slot insertions y
-    giving determinant zero; at most one y can exist for each x."""
+    giving determinant zero; at most one y can exist for each x.
+
+    Filling slot1 with x = p/q leaves a one-slot template whose fitted model
+    is, up to sign, p*L(1/0) + s*q*L(0/1) for one sign s, where L(x) is that
+    template's fit. The form is fitted once, from the fits at 1/0, 0/1 and
+    1/1, and validated at fit_coefficients' own validation fractions. Then
+    the zero of each x is read off its (a, b): the reduced a/b when it is
+    within the bound, or every fraction when (a, b) = (0, 0). The linear
+    model holds for planar templates, so other templates are refused.
+    """
     if t.slot_count != 2:
         raise TemplateError("scan needs exactly two open slots")
-    if slot1 == slot2:
-        raise TemplateError("scan slots must differ")
+    if {slot1, slot2} != {0, 1}:
+        raise TemplateError(f"scan slots must be 0 and 1, not {slot1} and {slot2}")
+    if t.diagram.is_oriented:
+        raise TemplateError("scan needs an unoriented template")
+    if not is_planar(t.diagram):
+        # the linear form can hold at every validation fraction and still
+        # miss zeros elsewhere on a diagram that is not planar
+        raise TemplateError("scan needs a planar template")
+    if bound > MAX_SCAN_BOUND:
+        raise TemplateError(f"scan bound {bound} exceeds {MAX_SCAN_BOUND}")
     fractions = reduced_fractions(bound)
+    if not fractions:
+        return ScanReport(bound, ())
+
+    def fit_at(x: TangleFraction) -> tuple[int, int]:
+        return fit_coefficients(splice(t, slot1, x))
+
+    a_inf, b_inf = fit_at(TangleFraction(1, 0))
+    a_zero, b_zero = fit_at(TangleFraction(0, 1))
+
+    def form(s: int, p: int, q: int) -> tuple[int, int]:
+        return (p * a_inf + s * q * a_zero, p * b_inf + s * q * b_zero)
+
+    def agrees(ab: tuple[int, int], fit: tuple[int, int]) -> bool:
+        return ab == fit or ab == (-fit[0], -fit[1])
+
+    l_one = fit_at(TangleFraction(1, 1))
+    signs = [s for s in (1, -1) if agrees(form(s, 1, 1), l_one)]
+    if not signs:
+        raise TemplateError(
+            f"no sign joins the slot-{slot1} fits at 1/0 and 0/1 into the fit "
+            f"{l_one} at 1/1"
+        )
+    s = signs[0]
+    for f in _FIT_VALIDATION:
+        got, want = fit_at(f), form(s, f.p, f.q)
+        if not agrees(want, got):
+            raise TemplateError(f"two-slot model {want} fails at {f}: fit {got}")
+
+    every = tuple(fractions)
     records = []
-    inner = slot2 if slot2 < slot1 else slot2 - 1
     for x in fractions:
-        filled = splice(t, slot1, x)
-        zeros = []
-        for y in fractions:
-            if determinant(splice(filled, inner, y)) == 0:
-                zeros.append(y)
-        records.append((x, len(zeros), tuple(zeros)))
+        a, b = form(s, x.p, x.q)
+        if a == 0 and b == 0:
+            records.append((x, len(every), every))
+            continue
+        y = TangleFraction.make(a, b)
+        if y.q == 0 or (abs(y.p) <= bound and y.q <= bound):
+            records.append((x, 1, (y,)))
+        else:
+            records.append((x, 0, ()))
     return ScanReport(bound, tuple(records))
 
 

@@ -1,11 +1,21 @@
 """Test-only oracles of the tangle layer, kept apart from the library, which
 inserts tangles by fraction only: strand tracing, aligned compilations of skein
-triples, and insertion of compiled crossings straight into a slot."""
+triples, insertion of compiled crossings straight into a slot, and the
+pairwise two-slot scan."""
 
 from dataclasses import dataclass, replace
 
+from tanglekit.coloring import determinant
 from tanglekit.diagram import LinkDiagram, fill_slot
-from tanglekit.skein import FareyPair, TangleTemplate, mediant
+from tanglekit.skein import (
+    FareyPair,
+    ScanReport,
+    TangleTemplate,
+    TemplateError,
+    mediant,
+    reduced_fractions,
+    splice,
+)
 from tanglekit.tangle import AB_CD, AC_BD, AD_BC, CompiledTangle, TangleFraction
 from tanglekit.tangle import TangleWord, compile_word, fraction_to_cf, word_fraction
 
@@ -131,3 +141,26 @@ def aligned_words(pair: FareyPair) -> AlignedWords:
             f"pair {pair.f1}, {pair.f2} is not the canonical parent pair of {med}"
         )
     return aw
+
+
+def brute_two_slot_scan(
+    t: TangleTemplate, slot1: int, slot2: int, bound: int
+) -> ScanReport:
+    """two_slot_scan by enumeration: splice every (x, y) pair and take its
+    determinant. Independent of the linear model the library's scan reads."""
+    if t.slot_count != 2:
+        raise TemplateError("scan needs exactly two open slots")
+    if slot1 == slot2:
+        raise TemplateError("scan slots must differ")
+    fractions = reduced_fractions(bound)
+    records = []
+    inner = slot2 if slot2 < slot1 else slot2 - 1
+    for x in fractions:
+        filled = splice(t, slot1, x)
+        zeros = []
+        for y in fractions:
+            if determinant(splice(filled, inner, y)) == 0:
+                zeros.append(y)
+        records.append((x, len(zeros), tuple(zeros)))
+    return ScanReport(bound, tuple(records))
+

@@ -152,6 +152,14 @@ class TestForgeries:
         v = verify_certificate(forged)
         assert not v.accepted and v.check == 0
 
+    def test_non_planar_ambient_rejected_check0(self):
+        # a virtual one-slot diagram whose fit holds at every positive probe;
+        # its -1/2 closure has determinant 0, not the model's 2
+        ambient = TangleTemplate(parse_pd("T[4,1,3,2] X[1,4,2,3]"), ((1, 0),))
+        v = verify_certificate(span_certificate(F("-1/2"), ambient))
+        assert not v.accepted and v.check == 0
+        assert "linear model (a=1, b=0) fails at -1/2: 0 != 2" in v.message
+
     def test_memoized_refit_still_compares_coefficients(self):
         # the refit of this diagram is remembered after the first ACCEPT;
         # tampered coefficients on the same diagram must still fail check 0

@@ -4,7 +4,11 @@ import time
 import pytest
 import sympy
 
+from tanglekit.certify import save_certificate, span_certificate
 from tanglekit.cli import run
+from tanglekit.diagram import parse_pd
+from tanglekit.skein import MAX_SCAN_BOUND, TangleTemplate
+from tanglekit.tangle import TangleFraction
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 HOPF = "X[1,4,2,3] X[3,2,4,1]"
@@ -71,6 +75,29 @@ class TestTangle:
         assert invoke(capsys, "tangle", "conn", "1/0")[1].strip() == "AC|BD"
 
 
+class TestNegativeFractions:
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("tangle", "cf", "-13/8"), "(-2,-1,-1,-1,-1)"),
+            (("tangle", "cf", "--", "-13/8"), "(-2,-1,-1,-1,-1)"),
+            (("tangle", "conn", "-1/2"), "AC|BD"),
+            (("--porcelain", "skein", "triple", "-1/2", "-1/3"), "-2/5 | 0/1"),
+            (("--porcelain", "skein", "triple", "--", "-1/2", "-1/3"), "-2/5 | 0/1"),
+        ],
+    )
+    def test_negative_fraction_arguments(self, capsys, argv, want):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and out.strip() == want
+
+    def test_certify_negative_target(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        code, _, err = invoke(capsys, "certify", "-2/5", "-o", str(path))
+        assert code == 0 and "ACCEPT" in err
+        assert json.loads(path.read_text())["nodes"][-1]["frac"] == "-2/5"
+        assert invoke(capsys, "verify", str(path))[0] == 0
+
+
 class TestSkein:
     def test_triple(self, capsys):
         code, out, _ = invoke(capsys, "skein", "triple", "1/2", "1/3")
@@ -98,6 +125,20 @@ class TestTemplate:
         lines = [l for l in out.splitlines() if "|" in l]
         assert lines
         assert all(l.count("|") == 2 for l in lines)
+
+    def test_scan_bound_over_cap_is_domain_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "template", "scan", "T[1,2,3,4] T[2,1,4,3]",
+            "--bound", str(MAX_SCAN_BOUND + 1),
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_scan_non_planar_is_domain_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "template", "scan", "X[2,1,5,6] T[3,3,5,4] T[6,1,2,4]",
+            "--bound", "2",
+        )
+        assert code == 1 and out == "" and "planar" in err
 
 
 class TestCertifyVerify:
@@ -130,6 +171,14 @@ class TestCertifyVerify:
         path.write_text(json.dumps(data))
         code, out, _ = invoke(capsys, "verify", str(path))
         assert code == 2 and "REJECT" in out
+
+    def test_non_planar_ambient_certificate_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        ambient = TangleTemplate(parse_pd("T[4,1,3,2] X[1,4,2,3]"), ((1, 0),))
+        save_certificate(span_certificate(TangleFraction(-1, 2), ambient), str(path))
+        code, out, _ = invoke(capsys, "verify", str(path))
+        assert code == 2
+        assert out.startswith("REJECT (check 0") and "fails at -1/2: 0 != 2" in out
 
     def test_zero_locus_target_is_domain_error(self, capsys):
         assert invoke(capsys, "certify", "1/0")[0] == 1

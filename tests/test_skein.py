@@ -1,9 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import tanglekit.skein
 from tanglekit.coloring import determinant
-from tanglekit.diagram import LinkDiagram, parse_pd, resolve
+from tanglekit.corpus import bundled_templates, load_corpus
+from tanglekit.diagram import (
+    LinkDiagram,
+    connected_sum,
+    is_planar,
+    parse_pd,
+    pd_string,
+    resolve,
+)
 from tanglekit.skein import (
+    MAX_SCAN_BOUND,
     FareyPair,
     ScanReport,
     TangleTemplate,
@@ -35,9 +47,10 @@ from tanglekit.tangle import (
     connectivity,
     fraction_word,
 )
-from tangle_oracles import aligned_words, insert
+from tangle_oracles import aligned_words, brute_two_slot_scan, insert
 
 F = TangleFraction.parse
+NECKLACE2 = TangleTemplate(parse_pd("T[1,2,3,4] T[2,1,4,3]"))
 
 
 def farey_ok(f1, f2) -> bool:
@@ -288,6 +301,111 @@ class TestTwoSlotScan:
         rev = two_slot_scan(t, 1, 0, 3)
         assert fwd.max_zero_count <= 1 and rev.max_zero_count <= 1
         assert len(fwd.records) == len(rev.records)
+
+    def test_matches_enumeration_on_stock_templates(self):
+        for t in (NECKLACE2, TangleTemplate(parse_pd("T[1,2,3,4] T[3,4,1,2]"))):
+            for slots in ((0, 1), (1, 0)):
+                for bound in range(0, 5):
+                    assert two_slot_scan(t, *slots, bound) == brute_two_slot_scan(
+                        t, *slots, bound
+                    ), (pd_string(t.diagram), slots, bound)
+
+    def test_matches_enumeration_on_random_planar_templates(self):
+        rng = random.Random(20191)
+        for _ in range(200):
+            d = random_planar_two_slot(rng, rng.randint(0, 4))
+            slots = rng.choice(((0, 1), (1, 0)))
+            t = TangleTemplate(d)
+            assert two_slot_scan(t, *slots, 2) == brute_two_slot_scan(
+                t, *slots, 2
+            ), (pd_string(d), slots)
+
+    def test_all_zero_row_lists_every_fraction(self):
+        # a connected sum of two one-slot closures has det |q1| * |q2|: with
+        # 1/0 in either slot the closure is split for every other insertion
+        fig8 = parse_pd("T[1,2,1,2]")
+        t = TangleTemplate(connected_sum(fig8, 1, fig8, 1))
+        fractions = tuple(reduced_fractions(3))
+        for slots in ((0, 1), (1, 0)):
+            report = two_slot_scan(t, *slots, 3)
+            assert report == brute_two_slot_scan(t, *slots, 3)
+            assert report.records[0] == (F("1/0"), len(fractions), fractions)
+            assert all(r[1:] == (1, (F("1/0"),)) for r in report.records[1:])
+
+    def test_rejects_oriented_template(self):
+        t = NECKLACE2.oriented((1, 1, 1, 1))
+        for bound in (0, 2):
+            with pytest.raises(TemplateError):
+                two_slot_scan(t, 0, 1, bound)
+
+    def test_rejects_slots_out_of_range(self):
+        for slots in ((0, 2), (2, 1), (-1, 0)):
+            with pytest.raises(TemplateError):
+                two_slot_scan(NECKLACE2, *slots, 0)
+
+    def test_rejects_non_planar_template(self, monkeypatch):
+        # the linear form passes every validation fit on this diagram, yet
+        # misses the second zero that enumeration finds for seven x
+        t = TangleTemplate(parse_pd("X[2,1,5,6] T[3,3,5,4] T[6,1,2,4]"))
+        assert not is_planar(t.diagram)
+        for bound in (0, 2):
+            with pytest.raises(TemplateError, match="planar"):
+                two_slot_scan(t, 0, 1, bound)
+        oracle = brute_two_slot_scan(t, 0, 1, 2)
+        assert oracle.max_zero_count == 8
+        assert [r[1] for r in oracle.records].count(2) == 7
+        monkeypatch.setattr(tanglekit.skein, "is_planar", lambda d: True)
+        assert two_slot_scan(t, 0, 1, 2) != oracle
+
+    def test_bound_cap_refused_before_any_fraction(self, monkeypatch):
+        def no_fractions(bound):
+            raise AssertionError("fractions built for a refused bound")
+
+        monkeypatch.setattr(tanglekit.skein, "reduced_fractions", no_fractions)
+        with pytest.raises(TemplateError):
+            two_slot_scan(NECKLACE2, 0, 1, MAX_SCAN_BOUND + 1)
+
+    def test_capped_bound_answers(self):
+        report = two_slot_scan(NECKLACE2, 0, 1, MAX_SCAN_BOUND)
+        assert len(report.records) == len(reduced_fractions(MAX_SCAN_BOUND))
+        assert all(ws == (x.mirror(),) for x, _, ws in report.records)
+
+
+def random_planar_two_slot(rng: random.Random, crossings: int) -> LinkDiagram:
+    """A two-slot diagram with the given number of crossings: random edge
+    labels drawn until the Euler check calls the result planar."""
+    while True:
+        ends = list(range(4 * (crossings + 2)))
+        rng.shuffle(ends)
+        label = [0] * len(ends)
+        for i in range(0, len(ends), 2):
+            label[ends[i]] = label[ends[i + 1]] = i // 2 + 1
+        tuples = [tuple(label[i : i + 4]) for i in range(0, len(label), 4)]
+        d = LinkDiagram(
+            crossings=tuple(tuples[:crossings]), slots=tuple(tuples[crossings:])
+        )
+        if is_planar(d):
+            return d
+
+
+class TestPlanarity:
+    def test_stock_diagrams_are_planar(self):
+        templates = bundled_templates()
+        for name in ("necklace2", "stack2", "figure8", "trefoil_sum"):
+            assert is_planar(templates[name].diagram), name
+        for e in load_corpus():
+            assert is_planar(e.diagram()), e.name
+
+    def test_virtual_diagrams_are_not(self):
+        for pd in ("T[4,1,3,2] X[1,4,2,3]", "X[1,2,3,4] X[1,2,3,4]"):
+            assert not is_planar(parse_pd(pd)), pd
+
+    def test_twist_template_is_not_but_its_coloring_twin_is(self):
+        # the stock twist PD has the coloring matrix, and so the determinants,
+        # of a planar one-crossing diagram; its own rotation is not planar
+        assert pd_string(bundled_templates()["twist"].diagram) == "X[2,1,3,4] T[1,2,3,4]"
+        assert not is_planar(bundled_templates()["twist"].diagram)
+        assert is_planar(parse_pd("X[2,4,3,1] T[1,2,3,4]"))
 
 
 class TestPartnerNormalization:
