@@ -81,6 +81,21 @@ class CertificateError(ValueError):
     """A certificate cannot be generated for the requested target."""
 
 
+# Work budget of one generator run, in DFS loop iterations: a node's first
+# visit, its emission and each repeated push of it, at most three per emitted
+# node. A target whose derivation needs more is refused: the Stern-Brocot
+# path of a target can be as long as its denominator, and the search would
+# otherwise run out of time or memory before emitting a node.
+MAX_CERTIFICATE_STEPS = 200_000
+
+
+def _over_budget(target) -> CertificateError:
+    return CertificateError(
+        f"certificate for {target} needs more than {MAX_CERTIFICATE_STEPS} "
+        "generation steps"
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class CertNode:
     frac: TangleFraction
@@ -164,7 +179,11 @@ def span_certificate(
     # for an emitted node
     memo: dict[tuple[int, int], int] = {}
     stack = [(target.p, target.q)]
+    steps = 0
     while stack:
+        steps += 1
+        if steps > MAX_CERTIFICATE_STEPS:
+            raise _over_budget(target)
         f = stack[-1]
         if f in memo:
             stack.pop()
@@ -240,7 +259,11 @@ def oriented_span_certificate(
         return picks[0]
 
     stack = [(sign * f0.p, f0.q)]
+    steps = 0
     while stack:
+        steps += 1
+        if steps > MAX_CERTIFICATE_STEPS:
+            raise _over_budget(f0)
         f = stack[-1]
         if f in memo:
             stack.pop()

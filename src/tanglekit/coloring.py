@@ -8,6 +8,9 @@ coincident arcs collapsed by summing coefficients (a kink row collapses to 0).
 
 The determinant is the absolute value of any maximal minor, computed by
 fraction-free Bareiss elimination over Python integers; no floating point.
+A coloring row has at most 3 nonzeros, so above a small size the elimination
+runs on sparse rows with least-fill (Markowitz) pivots; rank mod p uses the
+same sparse kernel at every size.
 The empty 0x0 minor is 1, which makes the unknot's determinant 1 without a
 special case. Split diagrams (free loops next to other content, or a component
 that never passes under) have determinant 0.
@@ -27,6 +30,7 @@ __all__ = [
 ]
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,23 @@ def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
     return ColoringMatrix(tuple(rows))
 
 
+# Largest dimension that bareiss_determinant eliminates densely. Timed on
+# coloring minors, the sparse kernel costs 2.3x the dense loop at 8 rows and
+# 1.07x at 13 and 14 (its index and pivot search outweigh the few updates it
+# saves), 0.87x at 15 and 0.47x at 20.
+_DENSE_MAX = 14
+
+
 def bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
+    """Exact signed integer determinant by Bareiss fraction-free elimination:
+    dense up to _DENSE_MAX rows, on sparse rows with least-fill pivots above.
+    """
+    if len(matrix) <= _DENSE_MAX:
+        return _dense_determinant(matrix)
+    return _sparse_determinant(matrix)
+
+
+def _dense_determinant(matrix: list[list[int]]) -> int:
     n = len(matrix)
     if n == 0:
         return 1
@@ -100,6 +119,172 @@ def bareiss_determinant(matrix: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+class _SparseRows:
+    """Matrix rows as {col: value} dicts with a column -> rows index.
+
+    Only the rows not yet used as pivots are kept. `pivot` picks an entry of
+    least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), the fill
+    that eliminating it can create; the caller does the arithmetic and hands
+    each updated row back through `put`.
+    """
+
+    def __init__(self, rows: list[dict[int, int]]) -> None:
+        self.rows: dict[int, dict[int, int]] = {}
+        self.cols: dict[int, set[int]] = {}
+        for i, row in enumerate(rows):
+            if row:
+                self.rows[i] = row
+                for j in row:
+                    self.cols.setdefault(j, set()).add(i)
+        # row_len[k] / col_len[k]: the rows / columns with k nonzeros. Fill
+        # only enters columns of the pivot row, which are in the index, so
+        # no count can outgrow the lists.
+        size = max(len(self.rows), len(self.cols)) + 1
+        self.row_len: list[set[int]] = [set() for _ in range(size)]
+        self.col_len: list[set[int]] = [set() for _ in range(size)]
+        for i, row in self.rows.items():
+            self.row_len[len(row)].add(i)
+        for j, rs in self.cols.items():
+            self.col_len[len(rs)].add(j)
+
+    def _join(self, j: int, i: int) -> None:
+        rs = self.cols[j]
+        self.col_len[len(rs)].discard(j)
+        rs.add(i)
+        self.col_len[len(rs)].add(j)
+
+    def _leave(self, j: int, i: int) -> None:
+        rs = self.cols[j]
+        self.col_len[len(rs)].discard(j)
+        rs.discard(i)
+        self.col_len[len(rs)].add(j)
+
+    def pivot(self) -> tuple[int, int] | None:
+        """(row, col) of a least-cost nonzero, or None if none is left.
+
+        Columns and rows are searched by increasing count k; once every
+        column and row with fewer than k nonzeros has been seen, no unseen
+        entry costs less than (k - 1)^2.
+        """
+        rows, cols = self.rows, self.cols
+        best, best_cost = None, None
+        for k in range(1, len(self.row_len)):
+            floor = (k - 1) * (k - 1)
+            if best is not None and best_cost <= floor:
+                break
+            for j in self.col_len[k]:
+                for i in cols[j]:
+                    cost = (len(rows[i]) - 1) * (k - 1)
+                    if best is None or cost < best_cost:
+                        best, best_cost = (i, j), cost
+                        if cost <= floor:
+                            return best
+            for i in self.row_len[k]:
+                for j in rows[i]:
+                    cost = (k - 1) * (len(cols[j]) - 1)
+                    if best is None or cost < best_cost:
+                        best, best_cost = (i, j), cost
+                        if cost <= floor:
+                            return best
+        return best
+
+    def take(self, r: int, c: int) -> tuple[dict[int, int], set[int]]:
+        """Retire pivot row r; return it and the other rows with column c."""
+        rows = self.rows
+        prow = rows.pop(r)
+        self.row_len[len(prow)].discard(r)
+        others = self.cols.pop(c)
+        self.col_len[len(others)].discard(c)
+        others.discard(r)
+        for j in prow:
+            if j != c:
+                self._leave(j, r)
+        for i in others:
+            self.row_len[len(rows[i])].discard(i)
+        return prow, others
+
+    def put(self, i: int, new: dict[int, int]) -> None:
+        """Replace a row returned by `take` with its eliminated form."""
+        old = self.rows[i]
+        cols = self.cols
+        for j in old:
+            if j not in new and j in cols:  # the pivot column is gone already
+                self._leave(j, i)
+        for j in new:
+            if j not in old:
+                self._join(j, i)
+        if new:
+            self.rows[i] = new
+            self.row_len[len(new)].add(i)
+        else:
+            del self.rows[i]
+
+
+_value = itemgetter(1)
+
+
+def _nonzeros(row) -> dict[int, int]:
+    return dict(filter(_value, enumerate(row)))
+
+
+def _sparse_determinant(matrix: list[list[int]]) -> int:
+    """Signed determinant by fraction-free Bareiss with least-fill pivots.
+
+    Step t pivots on P_t and leaves every entry a minor of the input. A row
+    that step t does not touch would only be scaled by P_t / P_(t-1), so it
+    is left at the step s it was last updated at: its true entries are
+    v * P_(t-1) / P_s. Updating such a row at step t combines both factors
+    into one exact division, (P_t * v - f * u) // P_s, exact because the
+    result is a minor (Sylvester's identity).
+    """
+    n = len(matrix)
+    el = _SparseRows([_nonzeros(row) for row in matrix])
+    rows = el.rows
+    level = [0] * n  # the step each row was last updated at
+    pivots = [1]  # pivots[t] = P_t, P_0 = 1
+    perm = [0] * n  # pivot column of each row
+    for t in range(1, n + 1):
+        pick = el.pivot()
+        if pick is None:
+            return 0
+        r, c = pick
+        prow, others = el.take(r, c)
+        prev = pivots[-1]
+        s = level[r]
+        if s != t - 1:
+            scale = pivots[s]
+            prow = {j: v * prev // scale for j, v in prow.items()}
+        pv = prow.pop(c)
+        for i in others:
+            row = rows[i]
+            f = row[c]
+            div = pivots[level[i]]
+            new = {j: v * pv // div for j, v in row.items() if j != c and j not in prow}
+            for j, u in prow.items():
+                w = (pv * row.get(j, 0) - f * u) // div
+                if w:
+                    new[j] = w
+            el.put(i, new)
+            level[i] = t
+        pivots.append(pv)
+        perm[r] = c
+    return _permutation_sign(perm) * pivots[n]
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    """Sign of a permutation: -1 to the power (length - number of cycles)."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -1 if (len(perm) - cycles) % 2 else 1
 
 
 def _minor(entries, drop_row: int, drop_col: int) -> list[list[int]]:
@@ -165,26 +350,27 @@ def _is_prime(n: int) -> bool:
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank over the field with p elements, by Gaussian elimination."""
-    m = [[v % p for v in row] for row in matrix]
+    """Rank over the field with p elements (p prime), by sparse elimination
+    with least-fill pivots."""
+    el = _SparseRows(
+        [{j: v % p for j, v in _nonzeros(row).items() if v % p} for row in matrix]
+    )
+    rows = el.rows
     rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, p)
-        m[row] = [(v * inv) % p for v in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[row])]
-        row += 1
+    while (pick := el.pivot()) is not None:
+        r, c = pick
+        prow, others = el.take(r, c)
+        inv = pow(prow.pop(c), -1, p)
+        for i in others:
+            row = rows[i]
+            f = row[c] * inv % p
+            new = {j: v for j, v in row.items() if j != c and j not in prow}
+            for j, u in prow.items():
+                w = (row.get(j, 0) - f * u) % p
+                if w:
+                    new[j] = w
+            el.put(i, new)
         rank += 1
-        if row == len(m):
-            break
     return rank
 
 

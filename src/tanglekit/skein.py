@@ -349,6 +349,8 @@ def two_slot_scan(
         # the linear form can hold at every validation fraction and still
         # miss zeros elsewhere on a diagram that is not planar
         raise TemplateError("scan needs a planar template")
+    if bound < 0:
+        raise TemplateError(f"scan bound {bound} is negative")
     if bound > MAX_SCAN_BOUND:
         raise TemplateError(f"scan bound {bound} exceeds {MAX_SCAN_BOUND}")
     fractions = reduced_fractions(bound)

@@ -140,7 +140,12 @@ class ContinuedFraction:
                     raise ValueError("infinite term allowed only first")
                 terms.append(None)
             else:
-                terms.append(int(p))
+                try:
+                    terms.append(int(p))
+                except ValueError:
+                    raise ValueError(
+                        f"continued fraction term {p!r} is not an integer"
+                    ) from None
         return ContinuedFraction(tuple(terms))
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tanglekit import certify
 from tanglekit.certify import (
     ANTIPARALLEL,
     ORIENTED,
@@ -90,6 +91,29 @@ class TestSpanCertificate:
                 continue
             c = span_certificate(f)
             assert len(c) <= 2 * (abs(f.p) + f.q) + 1, f
+
+
+class TestWorkBudget:
+    """Both generators stop after certify.MAX_CERTIFICATE_STEPS loop steps."""
+
+    GENERATORS = [
+        (span_certificate, F("1/40")),
+        (span_certificate, F("55/89")),
+        (lambda f: oriented_span_certificate(OrientedTarget(f, PARALLEL)), F("1/41")),
+        (lambda f: oriented_span_certificate(OrientedTarget(f, ANTIPARALLEL)), F("34/55")),
+    ]
+
+    @pytest.mark.parametrize("generate, target", GENERATORS)
+    def test_three_steps_per_node_suffice(self, monkeypatch, generate, target):
+        cert = generate(target)
+        monkeypatch.setattr(certify, "MAX_CERTIFICATE_STEPS", 3 * len(cert) + 1)
+        assert generate(target) == cert
+
+    @pytest.mark.parametrize("generate, target", GENERATORS)
+    def test_refuses_past_the_budget(self, monkeypatch, generate, target):
+        monkeypatch.setattr(certify, "MAX_CERTIFICATE_STEPS", len(generate(target)))
+        with pytest.raises(CertificateError, match="generation steps"):
+            generate(target)
 
 
 class TestForgeries:

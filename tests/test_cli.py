@@ -69,6 +69,13 @@ class TestTangle:
     def test_eval(self, capsys):
         assert invoke(capsys, "tangle", "eval", "(2,3,1)")[1].strip() == "9/7"
 
+    @pytest.mark.parametrize("text, term", [("(1e3)", "'1e3'"), ("(1,2", "'(1'")])
+    def test_eval_bad_term_is_domain_error(self, capsys, text, term):
+        code, out, err = invoke(capsys, "tangle", "eval", text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: continued fraction term " + term)
+        assert "invalid literal" not in err
+
     def test_conn(self, capsys):
         assert invoke(capsys, "tangle", "conn", "1/1")[1].strip() == "AD|BC"
         assert invoke(capsys, "tangle", "conn", "0/1")[1].strip() == "AB|CD"
@@ -133,6 +140,12 @@ class TestTemplate:
         )
         assert code == 1 and out == "" and err.startswith("error:")
 
+    def test_scan_negative_bound_is_domain_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "template", "scan", "T[1,2,3,4] T[2,1,4,3]", "--bound", "-1"
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+
     def test_scan_non_planar_is_domain_error(self, capsys):
         code, out, err = invoke(
             capsys, "template", "scan", "X[2,1,5,6] T[3,3,5,4] T[6,1,2,4]",
@@ -182,6 +195,18 @@ class TestCertifyVerify:
 
     def test_zero_locus_target_is_domain_error(self, capsys):
         assert invoke(capsys, "certify", "1/0")[0] == 1
+
+    @pytest.mark.parametrize("orient", [[], ["--oriented", "parallel"]])
+    def test_over_budget_target_is_refused_quickly(self, capsys, orient):
+        # the Stern-Brocot path of (q - 1)/q has q - 1 steps
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "certify",
+            "99999999999999999999999/100000000000000000000000", *orient,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "generation steps" in err
 
     def test_incompatible_orientation_is_domain_error(self, capsys):
         code, _, err = invoke(capsys, "certify", "1/3", "--oriented", "antiparallel")

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 import sympy
 
 from tanglekit.coloring import (
+    _dense_determinant,
+    _sparse_determinant,
     bareiss_determinant,
     coloring_matrix,
     determinant,
     n_colorable,
+    rank_mod_p,
 )
 from tanglekit.diagram import (
     PDError,
@@ -15,6 +20,8 @@ from tanglekit.diagram import (
     parse_pd,
     resolve,
 )
+from tanglekit.skein import figure8_template, splice
+from tanglekit.tangle import ContinuedFraction, cf_to_fraction
 
 UNKNOT_KINK = parse_pd("X[1,2,2,1]")
 UNKNOT_0 = parse_pd("U")
@@ -81,6 +88,140 @@ class TestBareiss:
         assert bareiss_determinant(m) == 0
         m2 = [[0, 1, 0], [1, 0, 0], [0, 0, 5]]
         assert bareiss_determinant(m2) == -5
+
+
+def dense_rank_mod_p(matrix, p: int) -> int:
+    """Reference rank over GF(p): dense Gauss-Jordan, column by column."""
+    m = [[v % p for v in row] for row in matrix]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    row = 0
+    for col in range(cols):
+        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = pow(m[row][col], -1, p)
+        m[row] = [(v * inv) % p for v in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[row])]
+        row += 1
+        rank += 1
+        if row == len(m):
+            break
+    return rank
+
+
+def coloring_shaped(rng, n: int) -> list[list[int]]:
+    """A minor of a random (n+1)-square matrix whose rows hold 2, -1, -1,
+    the -1s summed where they share a column, as coloring rows are."""
+    m = [[0] * (n + 1) for _ in range(n + 1)]
+    over = list(range(n + 1))
+    rng.shuffle(over)
+    for i, row in enumerate(m):
+        row[over[i]] = 2
+        for _ in range(2):
+            row[rng.choice([j for j in range(n + 1) if j != over[i]])] -= 1
+    return [row[:n] for row in m[:n]]
+
+
+def sparse_general(rng, n: int) -> list[list[int]]:
+    """Random entries in [-9, 9] on a permuted diagonal plus about 3 per row."""
+    m = [[0] * n for _ in range(n)]
+    cols = list(range(n))
+    rng.shuffle(cols)
+    for i, row in enumerate(m):
+        row[cols[i]] = rng.choice([-9, -5, -2, -1, 1, 3, 7])
+        for j in rng.sample(range(n), min(n, 3)):
+            row[j] = rng.randint(-9, 9)
+    return m
+
+
+def made_singular(rng, m: list[list[int]], how: str) -> list[list[int]]:
+    n = len(m)
+    m = [list(row) for row in m]
+    if how == "zero row":
+        m[rng.randrange(n)] = [0] * n
+    elif how == "duplicate row":
+        i, k = rng.sample(range(n), 2)
+        m[i] = list(m[k])
+    else:  # the leading columns span too little: row and column swaps needed
+        lead = max(1, n // 3)
+        for row in m[lead - 1 :]:
+            row[:lead] = [0] * lead
+        m.reverse()
+    return m
+
+
+SIZES = list(range(1, 17)) + [17, 20, 24, 31, 40, 57, 80]
+
+
+class TestSparseDeterminant:
+    """The sparse kernel at every size, whatever the dense/sparse crossover."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("shape", [coloring_shaped, sparse_general])
+    def test_matches_sympy_and_dense(self, n, shape):
+        rng = random.Random(1000 * n + len(shape.__name__))
+        for _ in range(3 if n <= 16 else 1):
+            m = shape(rng, n)
+            want = sympy.Matrix(m).det(method="domain-ge")
+            assert _sparse_determinant(m) == want
+            assert _dense_determinant(m) == want
+            assert bareiss_determinant(m) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 17, 40])
+    @pytest.mark.parametrize("how", ["zero row", "duplicate row", "short leading rank"])
+    def test_singular(self, n, how):
+        rng = random.Random(n)
+        for shape in (coloring_shaped, sparse_general):
+            m = made_singular(rng, shape(rng, n), how)
+            assert sympy.Matrix(m).det(method="domain-ge") == 0
+            assert _sparse_determinant(m) == 0
+            assert bareiss_determinant(m) == 0
+
+    def test_sign_of_pivot_permutations(self):
+        assert _sparse_determinant([]) == 1
+        assert _sparse_determinant([[0, 1], [1, 0]]) == -1
+        assert _sparse_determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+        assert _sparse_determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+        assert _sparse_determinant([[0, 2, 1], [0, 0, 3], [0, 2, 1]]) == 0
+
+    @pytest.mark.parametrize("m", [17, 33, 65])
+    def test_large_figure8_closures(self, m):
+        # 8m crossings: 136, 264 and 520
+        f = cf_to_fraction(ContinuedFraction((8,) * m))
+        d = splice(figure8_template(), 0, f)
+        assert len(d.crossings) == 8 * m
+        assert determinant(d) == abs(f.q)
+
+
+class TestRankModP:
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_matches_dense_oracle(self, p):
+        rng = random.Random(p)
+        for _ in range(150):
+            rows, cols = rng.randint(0, 12), rng.randint(1, 12)
+            density = rng.choice([0.15, 0.4, 1.0])
+            m = [
+                [rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            if rows > 1 and rng.random() < 0.3:
+                m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+            assert rank_mod_p(m, p) == dense_rank_mod_p(m, p), (m, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    def test_coloring_shaped(self, p):
+        rng = random.Random(p)
+        for n in (4, 16, 40):
+            m = coloring_shaped(rng, n)
+            # square, and with zero columns as n_colorable appends for loops
+            for extra in (0, 2):
+                wide = [row + [0] * extra for row in m]
+                assert rank_mod_p(wide, p) == dense_rank_mod_p(wide, p)
 
 
 class TestColoringMatrix:
