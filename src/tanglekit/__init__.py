@@ -17,7 +17,6 @@ from .certify import (
     Verdict,
     certificate_from_json,
     certificate_to_json,
-    component_reduction_step,
     connected_sum_certificate,
     load_certificate,
     oriented_span_certificate,

@@ -12,7 +12,7 @@ verified skein triple with all members of nonzero determinant:
   the unique pair member whose endpoint pairing suits the orientation sector.
 
 The verifier re-derives every identity with exact integer arithmetic and
-shares no code path with the generators' recursions.
+shares no code path with the generators' recursion.
 """
 
 from __future__ import annotations
@@ -27,13 +27,10 @@ from . import skein as _skein
 from .skein import (
     TangleTemplate,
     TemplateError,
-    compatible_classes_for_slot,
-    farey_neighbor,
     figure8_template,
     fit_coefficients,
     insertion_det,
     splice,
-    SkeinTriple,
 )
 from .tangle import (
     ANTIPARALLEL,
@@ -41,7 +38,6 @@ from .tangle import (
     TangleFraction,
     class_parity,
     compatible_classes,
-    connectivity,
     orientation_class,
 )
 
@@ -55,7 +51,6 @@ __all__ = [
     "oriented_span_certificate",
     "verify_certificate",
     "connected_sum_certificate",
-    "component_reduction_step",
     "certificate_to_json",
     "certificate_from_json",
     "save_certificate",
@@ -87,13 +82,6 @@ class CertificateError(ValueError):
 # path of a target can be as long as its denominator, and the search would
 # otherwise run out of time or memory before emitting a node.
 MAX_CERTIFICATE_STEPS = 200_000
-
-
-def _over_budget(target) -> CertificateError:
-    return CertificateError(
-        f"certificate for {target} needs more than {MAX_CERTIFICATE_STEPS} "
-        "generation steps"
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,31 +136,49 @@ class Verdict:
         return f"REJECT (check {self.check}{where}: {self.message})"
 
 
-def _default_ambient() -> TangleTemplate:
-    return figure8_template()
-
-
-# -- unoriented generation -----------------------------------------------------
+# -- generation ------------------------------------------------------------------
 
 
 def span_certificate(
     target: TangleFraction, ambient: TangleTemplate | None = None
 ) -> Certificate:
-    """Derive a target insertion from integer (unknot-valued) bases by the
-    denominator recursion: for j/k pick q with q*j = -1 (mod k), parents
-    (qj+1)/k over q and (j(k-q)-1)/k over k-q, a Farey pair with mediant j/k.
+    """Derive a target insertion from integer (unknot-valued) bases: every
+    node is the mediant of its two Farey parents."""
+    return _derive(target, None, ambient)
+
+
+def oriented_span_certificate(
+    target: OrientedTarget, ambient: TangleTemplate | None = None
+) -> Certificate:
+    """Derive an oriented target from unknot and Hopf bases: every node cites
+    its crossing-change partner and the Farey parent in its sector."""
+    return _derive(target.fraction, target.orientation, ambient)
+
+
+def _derive(
+    target: TangleFraction, tag: str | None, ambient: TangleTemplate | None
+) -> Certificate:
+    """Budgeted depth-first derivation of either kind (tag None: unoriented).
+
+    Denominator recursion: for j/k pick q with q*j = -1 (mod k); the parents
+    (qj+1)/k over q and (j(k-q)-1)/k over k-q are the Farey pair with mediant
+    j/k whose denominators are positive. An unoriented node cites both. An
+    oriented node cites its crossing-change partner, the parents' difference,
+    and its marked resolution, the one parent in its sector; both depend on
+    the unordered pair only, and the pair of -j/k mirrors the pair of j/k.
+    Denominator 1 insertions close to the unknot and are bases, and for the
+    oriented kind so are denominator 2 ones, which close to the Hopf link.
     """
-    ambient = ambient or _default_ambient()
+    ambient = ambient or figure8_template()
     if ambient.slot_count != 1:
         raise CertificateError("certificates need a one-slot ambient")
     if target.q == 0:
-        raise CertificateError(
-            "the infinity insertion is not a mediant of anything"
-        )
+        raise CertificateError("the infinity insertion has no certificate")
     if insertion_det(ambient, 0, target) == 0:
-        raise CertificateError(
-            f"target {target} is the ambient zero locus: no certificate exists"
-        )
+        raise CertificateError(f"target {target} is the ambient zero locus")
+    compat = _SECTOR_PARITIES[tag] if tag else None
+    if compat and target.parity() not in compat:
+        raise CertificateError(f"{target} is not {tag}-compatible")
     a, b = ambient.coeffs[0]
     nodes: list[CertNode] = []
     # the recursion runs on reduced (p, q) pairs; a fraction is built only
@@ -183,23 +189,29 @@ def span_certificate(
     while stack:
         steps += 1
         if steps > MAX_CERTIFICATE_STEPS:
-            raise _over_budget(target)
+            raise CertificateError(
+                f"certificate for {target} needs more than {MAX_CERTIFICATE_STEPS} "
+                "generation steps"
+            )
         f = stack[-1]
         if f in memo:
             stack.pop()
             continue
         j, k = f
+        if compat and (j % 2, k % 2) not in compat:  # pragma: no cover - selection bug
+            raise CertificateError(f"node {j}/{k} incompatible with {tag} sector")
         if b * j == a * k:
             raise CertificateError(
-                f"canonical derivation of {target} passes through the zero locus {j}/{k}"
+                f"derivation of {target} passes through the zero locus {j}/{k}"
             )
-        if k == 1:
-            just: tuple = ("base", BASE_UNKNOT)
+        if k == 1 or (k == 2 and tag):
+            just: tuple = ("base", BASE_UNKNOT if k == 1 else BASE_HOPF)
         else:
-            qh = (-pow(j, -1, k)) % k
-            s = k - qh
-            p1 = ((qh * j + 1) // k, qh)
-            p2 = ((j * s - 1) // k, s)
+            q = (-pow(j, -1, k)) % k
+            p1 = ((q * j + 1) // k, q)
+            p2 = ((j * (k - q) - 1) // k, k - q)
+            if compat:
+                p1, p2 = _partner_and_resolution(p1, p2, compat)
             i1, i2 = memo.get(p1), memo.get(p2)
             if i1 is None or i2 is None:
                 if i2 is None:
@@ -207,102 +219,27 @@ def span_certificate(
                 if i1 is None:
                     stack.append(p1)
                 continue
-            just = ("triple", i1, i2, None)
+            just = ("triple", i1, i2, i2 if compat else None)
         memo[f] = len(nodes)
-        nodes.append(CertNode(TangleFraction(j, k), None, just))
+        nodes.append(CertNode(TangleFraction(j, k), tag, just))
         stack.pop()
-    return Certificate(UNORIENTED, tuple(nodes), ambient)
+    return Certificate(ORIENTED if tag else UNORIENTED, tuple(nodes), ambient)
 
 
-# -- oriented generation ---------------------------------------------------------
-
-
-def oriented_span_certificate(
-    target: OrientedTarget, ambient: TangleTemplate | None = None
-) -> Certificate:
-    """Derive an oriented target from unknot and Hopf bases.
-
-    Numerator recursion: for k/(ki+j) with gcd(j,k)=1, take p = j^{-1} mod k,
-    q = (p*k*i + p*j - 1)/k, r = k - p, s = (r*k*i + r*j + 1)/k; then
-    |ps - qr| = 1, the mediant is the target, and the triple used is
-    (target, (p-r)/(q-s), compatible one of p/q, r/s). Numerator-one targets
-    use the twist ladder over the pair (1/(n-1), 0/1). Denominator 1 and 2
-    insertions close to the unknot and the Hopf link and are bases.
-    """
-    ambient = ambient or _default_ambient()
-    if ambient.slot_count != 1:
-        raise CertificateError("certificates need a one-slot ambient")
-    f0 = target.fraction
-    tag = target.orientation
-    if f0.q == 0:
-        raise CertificateError("the infinity insertion has no certificate")
-    if insertion_det(ambient, 0, f0) == 0:
-        raise CertificateError(f"target {f0} is the ambient zero locus")
-    compat = _SECTOR_PARITIES[tag]
-    if f0.parity() not in compat:
-        raise CertificateError(f"{f0} is not {tag}-compatible")
-
-    # The recursion runs on the mirror image of a negative target; `sign`
-    # maps a node back to the output frame, where its determinant is taken.
-    sign = -1 if f0.p < 0 else 1
-    a, b = ambient.coeffs[0]
-    nodes: list[CertNode] = []
-    memo: dict[tuple[int, int], int] = {}
-
-    def pick(c1: tuple[int, int], c2: tuple[int, int]) -> tuple[int, int]:
-        picks = [c for c in (c1, c2) if (c[0] % 2, c[1] % 2) in compat]
-        if len(picks) != 1:  # pragma: no cover - pair classes are always distinct
-            raise CertificateError(
-                f"no unique compatible resolution in "
-                f"({c1[0]}/{c1[1]}, {c2[0]}/{c2[1]})"
-            )
-        return picks[0]
-
-    stack = [(sign * f0.p, f0.q)]
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > MAX_CERTIFICATE_STEPS:
-            raise _over_budget(f0)
-        f = stack[-1]
-        if f in memo:
-            stack.pop()
-            continue
-        p, q = f
-        if (p % 2, q % 2) not in compat:  # pragma: no cover - selection bug
-            raise CertificateError(f"node {p}/{q} incompatible with {tag} sector")
-        if b * sign * p == a * q:
-            raise CertificateError(
-                f"derivation of {f0} passes through the zero locus {sign * p}/{q}"
-            )
-        if q in (1, 2):
-            just: tuple = ("base", BASE_UNKNOT if q == 1 else BASE_HOPF)
-        else:
-            # (crossing-change partner, selected resolution) of the node
-            if p == 1:
-                partner = (1, q - 2)
-                res = pick((1, q - 1), (0, 1))
-            else:
-                ph = pow(q % p, -1, p)
-                qh = (ph * q - 1) // p
-                r = p - ph
-                s = (r * q + 1) // p
-                res = pick((ph, qh), (r, s))
-                # (ph - r)/(qh - s) is reduced, since |ph*s - qh*r| = 1
-                pp, pq = ph - r, qh - s
-                partner = (1, 0) if pq == 0 else (-pp, -pq) if pq < 0 else (pp, pq)
-            i_part, i_res = memo.get(partner), memo.get(res)
-            if i_part is None or i_res is None:
-                if i_res is None:
-                    stack.append(res)
-                if i_part is None:
-                    stack.append(partner)
-                continue
-            just = ("triple", i_part, i_res, i_res)
-        memo[f] = len(nodes)
-        nodes.append(CertNode(TangleFraction(sign * p, q), tag, just))
-        stack.pop()
-    return Certificate(ORIENTED, tuple(nodes), ambient)
+def _partner_and_resolution(
+    p1: tuple[int, int], p2: tuple[int, int], compat: frozenset
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The mediant's crossing-change partner, p1 - p2 with positive
+    denominator, and the one member of the Farey pair p1, p2 in the sector."""
+    picks = [c for c in (p1, p2) if (c[0] % 2, c[1] % 2) in compat]
+    if len(picks) != 1:  # pragma: no cover - pair classes are always distinct
+        raise CertificateError(
+            f"no unique compatible resolution in "
+            f"({p1[0]}/{p1[1]}, {p2[0]}/{p2[1]})"
+        )
+    # the denominators differ: equal ones are both 1, whose mediant is a base
+    dp, dq = p1[0] - p2[0], p1[1] - p2[1]
+    return ((-dp, -dq) if dq < 0 else (dp, dq)), picks[0]
 
 
 # -- verification ----------------------------------------------------------------
@@ -505,44 +442,6 @@ def connected_sum_certificate(
     a, b = c1.ambient.coeffs[0]
     lifted = TangleTemplate(lifted_diagram, ((a * det2, b * det2),))
     return Certificate(c1.kind, c1.nodes, lifted)
-
-
-def component_reduction_step(
-    t: TangleTemplate, slot: int, f: TangleFraction, m: int = 0
-) -> SkeinTriple:
-    """The merging triple (f, C_m, C_{m+1}) with C_m = (p'+mp)/(q'+mq) for a
-    canonical neighbor p'/q', taking the least m >= the given one for which
-    both companions miss the zero locus; the three endpoint pairings are
-    pairwise distinct, so the companions really merge components.
-    """
-    from .skein import zero_locus
-
-    zl = zero_locus(t, slot)
-    nb = farey_neighbor(f)
-
-    oriented = t.diagram.is_oriented
-    compat = compatible_classes_for_slot(t, slot) if oriented else None
-    if oriented and connectivity(f) not in compat:
-        raise TemplateError(f"{f} is not orientation compatible at slot {slot}")
-
-    def companion(mm: int) -> TangleFraction:
-        return TangleFraction.make(nb.p + mm * f.p, nb.q + mm * f.q)
-
-    mm = m
-    while True:
-        c_m, c_m1 = companion(mm), companion(mm + 1)
-        ok = c_m != zl and c_m1 != zl
-        if ok and oriented:
-            # the resolution of the merging triple must be f itself
-            ok = connectivity(c_m) not in compat and companion(mm - 1) != zl
-        if ok:
-            break
-        mm += 1
-    if not oriented:
-        return SkeinTriple(UNORIENTED, f, c_m, c_m1)
-    return SkeinTriple(
-        ORIENTED, f, c_m, mediant=c_m1, partner=companion(mm - 1), resolution=f
-    )
 
 
 # -- serialization ---------------------------------------------------------------

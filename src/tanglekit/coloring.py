@@ -18,7 +18,7 @@ that never passes under) have determinant 0.
 
 from __future__ import annotations
 
-from .diagram import LinkDiagram, PDError, _UnionFind
+from .diagram import LinkDiagram, PDError, _UnionFind, is_planar
 
 __all__ = [
     "ColoringMatrix",
@@ -377,8 +377,10 @@ def rank_mod_p(matrix, p: int) -> int:
 def n_colorable(d: LinkDiagram, n: int) -> bool:
     """Whether the diagram admits a non-monochromatic coloring mod prime n.
 
-    Computed two ways that must agree: nullspace rank of the coloring system
-    over the n-element field, and divisibility of the determinant by n.
+    Computed two ways that agree on planar diagrams: nullspace rank of the
+    coloring system over the n-element field, and divisibility of the
+    determinant by n. Where they disagree on a diagram that is not planar,
+    PDError says so.
     """
     if not _is_prime(n):
         raise ValueError(f"{n} is not prime")
@@ -394,7 +396,13 @@ def n_colorable(d: LinkDiagram, n: int) -> bool:
         rows = [list(r) + [0] * d.loops for r in cm.entries]
         by_rank = variables - rank_mod_p(rows, n) >= 2
     by_det = determinant(d) % n == 0
-    if by_rank != by_det:  # pragma: no cover - the two criteria are equivalent
+    if by_rank != by_det:
+        if not is_planar(d):
+            raise PDError(
+                f"diagram is not planar: its rank and determinant criteria "
+                f"for n={n} disagree"
+            )
+        # on a planar diagram the two criteria are equivalent
         raise AssertionError(
             f"colorability criteria disagree for n={n}: rank={by_rank} det={by_det}"
         )

@@ -1,23 +1,29 @@
 """Test-only oracles of the tangle layer, kept apart from the library, which
 inserts tangles by fraction only: strand tracing, aligned compilations of skein
-triples, insertion of compiled crossings straight into a slot, and the
-pairwise two-slot scan."""
+triples, insertion of compiled crossings straight into a slot, the pairwise
+two-slot scan, and the component-merging skein step."""
 
 from dataclasses import dataclass, replace
 
+from tanglekit.certify import ORIENTED, UNORIENTED
 from tanglekit.coloring import determinant
 from tanglekit.diagram import LinkDiagram, fill_slot
 from tanglekit.skein import (
     FareyPair,
     ScanReport,
+    SkeinTriple,
     TangleTemplate,
     TemplateError,
+    compatible_classes_for_slot,
+    farey_neighbor,
     mediant,
     reduced_fractions,
     splice,
+    zero_locus,
 )
 from tanglekit.tangle import AB_CD, AC_BD, AD_BC, CompiledTangle, TangleFraction
-from tanglekit.tangle import TangleWord, compile_word, fraction_to_cf, word_fraction
+from tanglekit.tangle import TangleWord, compile_word, connectivity, fraction_to_cf
+from tanglekit.tangle import word_fraction
 
 
 def trace_connectivity(t: CompiledTangle) -> str:
@@ -164,3 +170,38 @@ def brute_two_slot_scan(
         records.append((x, len(zeros), tuple(zeros)))
     return ScanReport(bound, tuple(records))
 
+
+def component_reduction_step(
+    t: TangleTemplate, slot: int, f: TangleFraction, m: int = 0
+) -> SkeinTriple:
+    """The merging triple (f, C_m, C_{m+1}) with C_m = (p'+mp)/(q'+mq) for a
+    canonical neighbor p'/q', taking the least m >= the given one for which
+    both companions miss the zero locus; the three endpoint pairings are
+    pairwise distinct, so the companions really merge components.
+    """
+    zl = zero_locus(t, slot)
+    nb = farey_neighbor(f)
+
+    oriented = t.diagram.is_oriented
+    compat = compatible_classes_for_slot(t, slot) if oriented else None
+    if oriented and connectivity(f) not in compat:
+        raise TemplateError(f"{f} is not orientation compatible at slot {slot}")
+
+    def companion(mm: int) -> TangleFraction:
+        return TangleFraction.make(nb.p + mm * f.p, nb.q + mm * f.q)
+
+    mm = m
+    while True:
+        c_m, c_m1 = companion(mm), companion(mm + 1)
+        ok = c_m != zl and c_m1 != zl
+        if ok and oriented:
+            # the resolution of the merging triple must be f itself
+            ok = connectivity(c_m) not in compat and companion(mm - 1) != zl
+        if ok:
+            break
+        mm += 1
+    if not oriented:
+        return SkeinTriple(UNORIENTED, f, c_m, c_m1)
+    return SkeinTriple(
+        ORIENTED, f, c_m, mediant=c_m1, partner=companion(mm - 1), resolution=f
+    )

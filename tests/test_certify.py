@@ -18,7 +18,6 @@ from tanglekit.certify import (
     Verdict,
     certificate_from_json,
     certificate_to_json,
-    component_reduction_step,
     connected_sum_certificate,
     load_certificate,
     oriented_span_certificate,
@@ -37,6 +36,8 @@ from tanglekit.skein import (
     zero_locus,
 )
 from tanglekit.tangle import TangleFraction, connectivity, compatible_classes
+
+from tangle_oracles import component_reduction_step
 
 F = TangleFraction.parse
 TREFOIL = parse_pd("X[1,2,3,4] X[2,5,6,3] X[4,6,5,1]")
@@ -525,6 +526,54 @@ def test_certificate_bytes_are_unchanged(ambient, tag, target):
     text = json.dumps(certificate_to_json(c), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[ambient, tag, target]
     assert verify_certificate(certificate_from_json(json.loads(text))).accepted
+
+
+# Recorded with the numerator recursion and its mirror frame for negative
+# targets, before both generators walked Farey parents: bytes must not change.
+SIGNED_GOLDEN = {
+    ("figure8", PARALLEL, "-21/55"): "120eac9b2744323ed3cdab447bda344435f6609cca021ef4f6ee8c6847ac707d",
+    ("figure8", ANTIPARALLEL, "-34/89"): "0463bcdb1514899fd79b7415bbd1fbdb287fd2bc32a3bcacef1364cc79ed3646",
+    ("figure8", PARALLEL, "-1/509"): "10331221ef26383d774b47a977ef95c641f44d2baa5fd697b64936c42c8e2318",
+    ("trefoil_sum", ANTIPARALLEL, "-7/12"): "36f8c4aa859bbb92ff04d234b6b0d79a9c2f628c5e9686112d851a69acf203c2",
+    ("figure8", PARALLEL, "55/21"): "fa84d854f0f0b0a2ea705d73515805d0c4cb7151b52519270c6457d23156a7e8",
+}
+
+
+@pytest.mark.parametrize("ambient,tag,target", sorted(SIGNED_GOLDEN))
+def test_signed_oriented_certificate_bytes_are_unchanged(ambient, tag, target):
+    c = oriented_span_certificate(OrientedTarget(F(target), tag), TEMPLATES[ambient])
+    text = json.dumps(certificate_to_json(c), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SIGNED_GOLDEN[ambient, tag, target]
+    assert verify_certificate(c).accepted
+
+
+def test_every_small_target_has_unchanged_bytes_or_refusal():
+    """One digest over every reduced |p|, q <= 30 (1/0 and negatives
+    included) on each stock ambient, unoriented and in both sectors; a
+    refused target hashes as a fixed marker."""
+    digest = hashlib.sha256()
+    made = refused = 0
+    for name in ("figure8", "twist", "trefoil_sum"):
+        for tag in (None, PARALLEL, ANTIPARALLEL):
+            for f in reduced_fractions(30):
+                try:
+                    if tag is None:
+                        c = span_certificate(f, TEMPLATES[name])
+                    else:
+                        c = oriented_span_certificate(
+                            OrientedTarget(f, tag), TEMPLATES[name]
+                        )
+                except CertificateError:
+                    digest.update(b"refused\n")
+                    refused += 1
+                    continue
+                digest.update(json.dumps(certificate_to_json(c), sort_keys=True).encode())
+                digest.update(b"\n")
+                made += 1
+    assert (made, refused) == (7090, 2918)
+    assert digest.hexdigest() == (
+        "ca05974b72a8df1c5dc10d5e8195759cf4677c06183c7432fc13485c091483c4"
+    )
 
 
 # -- fuzzing the JSON loader ------------------------------------------------------

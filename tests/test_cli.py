@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from tanglekit.certify import save_certificate, span_certificate
 from tanglekit.cli import run
@@ -46,6 +49,12 @@ class TestColorable:
         code, _, err = invoke(capsys, "colorable", "--n", "6", TREFOIL)
         assert code == 1
 
+
+    @pytest.mark.parametrize("pd", ["X[1,2,1,2]", "X[2,1,2,1]"])
+    def test_non_planar_disagreement_is_domain_error(self, capsys, pd):
+        code, out, err = invoke(capsys, "colorable", "--n", "3", pd)
+        assert code == 1 and out == ""
+        assert err.startswith("error: diagram is not planar")
 
     def test_large_prime_modulus_answers_at_once(self, capsys):
         n = 1000000000000000003
@@ -262,3 +271,120 @@ class TestUsage:
         a = invoke(capsys, "--porcelain", "template", "fit", "T[1,2,1,2]")[1]
         b = invoke(capsys, "--porcelain", "template", "fit", "T[1,2,1,2]")[1]
         assert a == b
+
+
+# -- fuzzing the command line ----------------------------------------------------
+
+PD_POOL = [
+    TREFOIL,
+    HOPF,
+    HOPF + " O[1:+,2:-]",
+    HOPF + " O[1:+]",
+    "U",
+    "U U",
+    "X[1,2,2,1]",
+    # not planar
+    "X[1,2,1,2]",
+    "X[2,1,2,1]",
+    "X[1,2,3,4] X[1,2,3,4]",
+    "X[1,2,3,4] X[3,4,1,2]",
+    # templates, oriented ones among them
+    "T[1,2,1,2]",
+    "T[1,2,1,2] O[1:+,2:+]",
+    "T[1,2,1,2] O[1:+,2:-]",
+    "X[2,1,3,4] T[1,2,3,4]",
+    "X[1,4,5,6] X[4,7,8,5] X[6,8,7,3] T[1,2,3,2]",
+    "T[1,2,3,4] T[2,1,4,3]",
+    "T[1,2,3,4] T[3,4,1,2]",
+    "X[2,1,5,6] T[3,3,5,4] T[6,1,2,4]",
+    "T[1,2,3,4] X[1,2,3,4] T[5,6,5,6]",
+    # malformed
+    "",
+    "X[1,2,3]",
+    "X[1,2,3,4",
+    "Q[1,2,3,4]",
+    "X[1,1,1,1]",
+    "X[a,b,c,d]",
+]
+JUNK = ["", "x", "-", "1/0", "0/0", "3/-4", "1/2/3", "1e3", "+1/2", " 2/5", "--n"]
+FRACTIONS = st.one_of(
+    st.builds(
+        "{}/{}".format, st.integers(-10**4, 10**4), st.integers(0, 10**4)
+    ),
+    st.integers(-10**4, 10**4).map(str),
+    st.sampled_from(JUNK),
+)
+CF_TERMS = st.one_of(
+    st.integers(-10**4, 10**4).map(str), st.sampled_from(["1e3", "", "x", " 2", "1/2"])
+)
+CONTINUED_FRACTIONS = st.one_of(
+    st.lists(CF_TERMS, max_size=6).map(lambda ts: f"({','.join(ts)})"),
+    st.sampled_from(["(1,2", "1,2", "()", "(,)", "((1))"]),
+)
+PDS = st.sampled_from(PD_POOL)
+# names in the fuzz directory, marked with "@" until the test resolves them
+FILES = st.sampled_from(["good.json", "forged.json", "junk.json", "manifest.txt",
+                         "missing.json", "", "nodir/out.json"]).map("@".__add__)
+ORIENTED = st.sampled_from(
+    [[], ["--oriented", "parallel"], ["--oriented", "antiparallel"]]
+)
+MODULI = st.one_of(
+    st.sampled_from(["2", "3", "5", "7", "13", "6", "1", "0", "-3", "x"]),
+    st.integers(-5, 10**6).map(str),
+)
+
+
+def _verb_argvs():
+    return st.one_of(
+        st.tuples(st.just("det"), PDS),
+        st.tuples(st.just("colorable"), st.just("--n"), MODULI, PDS),
+        st.tuples(st.just("tangle"), st.sampled_from(["cf", "conn"]), FRACTIONS),
+        st.tuples(st.just("tangle"), st.just("eval"), CONTINUED_FRACTIONS),
+        st.tuples(st.just("skein"), st.just("triple"), FRACTIONS, FRACTIONS),
+        st.tuples(st.just("template"), st.just("fit"), PDS),
+        st.tuples(
+            st.just("template"), st.just("scan"), PDS,
+            st.just("--bound"), st.integers(-1, 31).map(str),
+        ),
+        st.builds(
+            lambda f, tag, out: ("certify", f, *tag, *out),
+            FRACTIONS, ORIENTED, st.one_of(st.just(()), FILES.map(lambda p: ("-o", p))),
+        ),
+        st.tuples(st.just("verify"), FILES),
+        st.builds(
+            lambda action, path: ("corpus", *action, *path),
+            st.sampled_from([(), ("list",), ("check",), ("nope",)]),
+            st.one_of(st.just(()), FILES.map(lambda p: ("--corpus", p))),
+        ),
+    )
+
+
+ARGVS = st.builds(
+    lambda porcelain, verb: (["--porcelain"] if porcelain else []) + list(verb),
+    st.booleans(),
+    _verb_argvs(),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_certificate(span_certificate(TangleFraction(2, 5)), str(root / "good.json"))
+    data = json.loads((root / "good.json").read_text())
+    data["nodes"][0]["frac"] = "1/2"
+    (root / "forged.json").write_text(json.dumps(data))
+    (root / "junk.json").write_text("{not json")
+    (root / "manifest.txt").write_text("k | X[1,2,2,1] | 1 | 7\n")
+    return root
+
+
+@given(argv=ARGVS)
+@example(argv=["colorable", "--n", "3", "X[1,2,1,2]"])
+@settings(max_examples=400, deadline=None)
+def test_every_verb_returns_an_exit_code(fuzz_dir, argv):
+    argv = [str(fuzz_dir / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

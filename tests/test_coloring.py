@@ -3,6 +3,7 @@ import random
 import pytest
 import sympy
 
+from tanglekit import coloring
 from tanglekit.coloring import (
     _dense_determinant,
     _sparse_determinant,
@@ -17,6 +18,7 @@ from tanglekit.diagram import (
     connected_sum,
     crossing_change,
     disjoint_union,
+    is_planar,
     parse_pd,
     resolve,
 )
@@ -339,6 +341,21 @@ class TestColorability:
                 sum(c * x for c, x in zip(row, colors)) % 3 == 0
                 for row in cm.entries
             )
+
+    @pytest.mark.parametrize("pd", ["X[1,2,1,2]", "X[2,1,2,1]"])
+    @pytest.mark.parametrize("n", [3, 5, 7, 13])
+    def test_disagreement_on_a_non_planar_diagram_is_pd_error(self, pd, n):
+        # one component never passes under, so the determinant is 0, while
+        # the coloring system mod n has nullity 1: the criteria disagree
+        d = parse_pd(pd)
+        assert determinant(d) == 0 and not is_planar(d)
+        with pytest.raises(PDError, match="not planar"):
+            n_colorable(d, n)
+
+    def test_disagreement_on_a_planar_diagram_stays_an_assertion(self, monkeypatch):
+        monkeypatch.setattr(coloring, "determinant", lambda d: 1)
+        with pytest.raises(AssertionError, match="criteria disagree"):
+            n_colorable(TREFOIL, 3)
 
     def test_divisibility_matches_rank_over_corpus_primes(self):
         for d in (UNKNOT_0, UNKNOT_KINK, HOPF, TREFOIL, FIG8_KNOT):
