@@ -9,40 +9,8 @@ line-oriented `field | field | ...` records.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-
-from .certify import (
-    CertificateError,
-    OrientedTarget,
-    certificate_to_json,
-    load_certificate,
-    oriented_span_certificate,
-    save_certificate,
-    span_certificate,
-    verify_certificate,
-)
-from .coloring import determinant, n_colorable
-from .corpus import load_corpus
-from .diagram import PDError, components, parse_pd
-from .skein import (
-    FareyPair,
-    TangleTemplate,
-    TemplateError,
-    fit_coefficients,
-    partner,
-    two_slot_scan,
-    unoriented_triple,
-    zero_locus,
-)
-from .tangle import (
-    ContinuedFraction,
-    TangleFraction,
-    cf_to_fraction,
-    connectivity,
-    fraction_to_cf,
-)
 
 __all__ = ["run", "main"]
 
@@ -119,7 +87,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PDError, TemplateError, CertificateError, ValueError) as exc:
+    except ValueError as exc:  # PDError, TemplateError, CertificateError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -128,16 +96,32 @@ def run(argv: list[str]) -> int:
 
 
 def _dispatch(args) -> int:
+    # each verb imports only the modules it needs: a process answering `det`
+    # never loads the skein or certificate layers
     if args.verb == "det":
+        from .coloring import determinant
+        from .diagram import parse_pd
+
         print(determinant(parse_pd(args.pd)))
         return 0
 
     if args.verb == "colorable":
+        from .coloring import n_colorable
+        from .diagram import parse_pd
+
         result = n_colorable(parse_pd(args.pd), args.n)
         print("true" if result else "false")
         return 0
 
     if args.verb == "tangle":
+        from .tangle import (
+            ContinuedFraction,
+            TangleFraction,
+            cf_to_fraction,
+            connectivity,
+            fraction_to_cf,
+        )
+
         if args.tangle_op == "cf":
             print(fraction_to_cf(TangleFraction.parse(args.fraction)))
         elif args.tangle_op == "eval":
@@ -147,6 +131,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "skein":
+        from .skein import FareyPair, partner, unoriented_triple
+        from .tangle import TangleFraction
+
         pair = FareyPair(
             TangleFraction.parse(args.f1), TangleFraction.parse(args.f2)
         )
@@ -160,6 +147,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "template":
+        from .diagram import parse_pd
+        from .skein import TangleTemplate, fit_coefficients, two_slot_scan, zero_locus
+
         t = TangleTemplate(parse_pd(args.pd))
         if args.template_op == "fit":
             a, b = fit_coefficients(t)
@@ -180,6 +170,18 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "certify":
+        import json
+
+        from .certify import (
+            OrientedTarget,
+            certificate_to_json,
+            oriented_span_certificate,
+            save_certificate,
+            span_certificate,
+            verify_certificate,
+        )
+        from .tangle import TangleFraction
+
         frac = TangleFraction.parse(args.fraction)
         if args.oriented:
             cert = oriented_span_certificate(OrientedTarget(frac, args.oriented))
@@ -194,12 +196,18 @@ def _dispatch(args) -> int:
         return 0 if verdict.accepted else 2
 
     if args.verb == "verify":
+        from .certify import load_certificate, verify_certificate
+
         cert = load_certificate(args.file)
         verdict = verify_certificate(cert)
         print(str(verdict))
         return 0 if verdict.accepted else 2
 
     if args.verb == "corpus":
+        from .coloring import determinant
+        from .corpus import load_corpus
+        from .diagram import components
+
         entries = load_corpus(args.corpus)
         if args.action == "list":
             for e in entries:

@@ -1,10 +1,13 @@
-"""Coloring matrix, exact link determinant, n-colorability.
+"""Coloring system, exact link determinant, n-colorability.
 
 Colors live on arcs: maximal strands running from one undercrossing to the
 next, i.e. PD edges glued together wherever they pass over a crossing. Each
 crossing imposes 2*(over arc) - (under-in arc) - (under-out arc) = 0; the
-coefficient matrix has one row per crossing and one column per arc, with
-coincident arcs collapsed by summing coefficients (a kink row collapses to 0).
+system has one row per crossing and one column per arc, with coincident arcs
+collapsed by summing coefficients (a kink row collapses to 0). Rows are built
+sparse, as {arc: coefficient} dicts, once per diagram and kept on the diagram
+instance together with its determinant, so asking again, or asking
+n_colorable for several primes, eliminates nothing twice.
 
 The determinant is the absolute value of any maximal minor, computed by
 fraction-free Bareiss elimination over Python integers; no floating point.
@@ -18,7 +21,7 @@ that never passes under) have determinant 0.
 
 from __future__ import annotations
 
-from .diagram import LinkDiagram, PDError, _UnionFind, is_planar
+from .diagram import LinkDiagram, PDError, _Record, _UnionFind, is_planar
 
 __all__ = [
     "ColoringMatrix",
@@ -29,15 +32,14 @@ __all__ = [
     "rank_mod_p",
 ]
 
-from dataclasses import dataclass
-from operator import itemgetter
 
-
-@dataclass(frozen=True)
-class ColoringMatrix:
+class ColoringMatrix(_Record):
     """Crossing-relation coefficients: rows index crossings, columns arcs."""
 
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     @property
     def rows(self) -> int:
@@ -60,8 +62,40 @@ def _fox_arcs(d: LinkDiagram) -> tuple[dict[int, int], int]:
     return arc_of, len(arc_index)
 
 
+Row = dict[int, int]  # {column: nonzero coefficient}
+
+
+def _build_system(d: LinkDiagram) -> tuple[list[Row], int]:
+    """The crossing relations as sparse rows, one per crossing, and the
+    number of arcs (columns)."""
+    arc_of, arcs = _fox_arcs(d)
+    rows = []
+    for a, b, c, _ in d.crossings:
+        row = {arc_of[b]: 2}
+        for j in (arc_of[a], arc_of[c]):
+            v = row.get(j, 0) - 1
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        rows.append(row)
+    return rows, arcs
+
+
+def _system(d: LinkDiagram) -> tuple[list[Row], int]:
+    """The diagram's coloring system, built on first use and kept in the
+    instance __dict__, so it lives exactly as long as the diagram. Callers
+    read the rows and never change them."""
+    memo = vars(d)
+    system = memo.get("_coloring_system")
+    if system is None:
+        system = memo["_coloring_system"] = _build_system(d)
+    return system
+
+
 def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
-    """Coefficient matrix of the crossing relations.
+    """Coefficient matrix of the crossing relations: a dense rendering of the
+    diagram's coloring system.
 
     Square (k x k) whenever every component passes under somewhere; the extra
     columns of degenerate diagrams are kept so ranks stay meaningful.
@@ -70,15 +104,10 @@ def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
         raise PDError("diagram has unfilled slots")
     if not d.crossings:
         raise PDError("coloring matrix needs at least one crossing")
-    arc_of, m = _fox_arcs(d)
-    rows = []
-    for a, b, c, _ in d.crossings:
-        row = [0] * m
-        row[arc_of[b]] += 2
-        row[arc_of[a]] -= 1
-        row[arc_of[c]] -= 1
-        rows.append(tuple(row))
-    return ColoringMatrix(tuple(rows))
+    rows, arcs = _system(d)
+    return ColoringMatrix(
+        tuple(tuple(row.get(j, 0) for j in range(arcs)) for row in rows)
+    )
 
 
 # Largest dimension that bareiss_determinant eliminates densely. Timed on
@@ -88,20 +117,30 @@ def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
 _DENSE_MAX = 14
 
 
-def bareiss_determinant(matrix: list[list[int]]) -> int:
+def bareiss_determinant(matrix) -> int:
     """Exact signed integer determinant by Bareiss fraction-free elimination:
     dense up to _DENSE_MAX rows, on sparse rows with least-fill pivots above.
+
+    Rows are dense sequences or {col: value} dicts; neither is changed.
     """
     if len(matrix) <= _DENSE_MAX:
         return _dense_determinant(matrix)
     return _sparse_determinant(matrix)
 
 
-def _dense_determinant(matrix: list[list[int]]) -> int:
+def _items(row):
+    """(col, value) pairs of a dense row or a {col: value} row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
+def _dense_determinant(matrix) -> int:
     n = len(matrix)
     if n == 0:
         return 1
-    m = [list(row) for row in matrix]
+    m = [
+        [row.get(j, 0) for j in range(n)] if isinstance(row, dict) else list(row)
+        for row in matrix
+    ]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -222,14 +261,7 @@ class _SparseRows:
             del self.rows[i]
 
 
-_value = itemgetter(1)
-
-
-def _nonzeros(row) -> dict[int, int]:
-    return dict(filter(_value, enumerate(row)))
-
-
-def _sparse_determinant(matrix: list[list[int]]) -> int:
+def _sparse_determinant(matrix) -> int:
     """Signed determinant by fraction-free Bareiss with least-fill pivots.
 
     Step t pivots on P_t and leaves every entry a minor of the input. A row
@@ -240,7 +272,7 @@ def _sparse_determinant(matrix: list[list[int]]) -> int:
     result is a minor (Sylvester's identity).
     """
     n = len(matrix)
-    el = _SparseRows([_nonzeros(row) for row in matrix])
+    el = _SparseRows([{j: v for j, v in _items(row) if v} for row in matrix])
     rows = el.rows
     level = [0] * n  # the step each row was last updated at
     pivots = [1]  # pivots[t] = P_t, P_0 = 1
@@ -287,11 +319,12 @@ def _permutation_sign(perm: list[int]) -> int:
     return -1 if (len(perm) - cycles) % 2 else 1
 
 
-def _minor(entries, drop_row: int, drop_col: int) -> list[list[int]]:
+def _minor(rows: list[Row], n: int) -> list[Row]:
+    """The system without row n and column n, the last of each. Only the
+    rows that hold column n are copied; the others are shared, read-only."""
     return [
-        [v for j, v in enumerate(row) if j != drop_col]
-        for i, row in enumerate(entries)
-        if i != drop_row
+        {j: v for j, v in row.items() if j != n} if n in row else row
+        for row in rows[:n]
     ]
 
 
@@ -299,7 +332,8 @@ def determinant(d: LinkDiagram) -> int:
     """|det| of the coloring matrix with its last row and column removed.
 
     Any other row/column pair gives the same value. Conventions: a crossing-free
-    unknot has determinant 1; split diagrams have determinant 0.
+    unknot has determinant 1; split diagrams have determinant 0. The value is
+    kept on the diagram, so a second call on the same instance is a lookup.
     """
     if d.slots:
         raise PDError("diagram has unfilled slots")
@@ -308,11 +342,15 @@ def determinant(d: LinkDiagram) -> int:
         return 1 if d.loops == 1 else 0
     if d.loops > 0:
         return 0
-    cm = coloring_matrix(d)
-    if cm.cols != k:
-        # some component never passes under: it lifts off, a split diagram
-        return 0
-    return abs(bareiss_determinant(_minor(cm.entries, k - 1, k - 1)))
+    memo = vars(d)
+    det = memo.get("_determinant")
+    if det is None:
+        rows, arcs = _system(d)
+        # with fewer than k arcs some component never passes under: it
+        # lifts off, a split diagram
+        det = abs(bareiss_determinant(_minor(rows, k - 1))) if arcs == k else 0
+        memo["_determinant"] = det
+    return det
 
 
 # Deterministic Miller-Rabin: the first twelve primes as bases decide every
@@ -351,10 +389,9 @@ def _is_prime(n: int) -> bool:
 
 def rank_mod_p(matrix, p: int) -> int:
     """Rank over the field with p elements (p prime), by sparse elimination
-    with least-fill pivots."""
-    el = _SparseRows(
-        [{j: v % p for j, v in _nonzeros(row).items() if v % p} for row in matrix]
-    )
+    with least-fill pivots. Rows are dense sequences or {col: value} dicts;
+    neither is changed."""
+    el = _SparseRows([{j: v % p for j, v in _items(row) if v % p} for row in matrix])
     rows = el.rows
     rank = 0
     while (pick := el.pivot()) is not None:
@@ -386,15 +423,12 @@ def n_colorable(d: LinkDiagram, n: int) -> bool:
         raise ValueError(f"{n} is not prime")
     if d.slots:
         raise PDError("diagram has unfilled slots")
-    k = len(d.crossings)
-    if k == 0:
-        variables = d.loops
-        by_rank = variables >= 2
+    if not d.crossings:
+        by_rank = d.loops >= 2
     else:
-        cm = coloring_matrix(d)
-        variables = cm.cols + d.loops
-        rows = [list(r) + [0] * d.loops for r in cm.entries]
-        by_rank = variables - rank_mod_p(rows, n) >= 2
+        rows, arcs = _system(d)
+        # free loops are further variables: zero columns that add no rank
+        by_rank = arcs + d.loops - rank_mod_p(rows, n) >= 2
     by_det = determinant(d) % n == 0
     if by_rank != by_det:
         if not is_planar(d):

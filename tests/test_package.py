@@ -1,0 +1,74 @@
+"""The package namespace: lazy submodule loading and name resolution."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tanglekit
+from tanglekit import coloring
+
+SRC = Path(tanglekit.__file__).resolve().parent.parent
+
+LOADED = """
+import sys
+import tanglekit
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("tanglekit."))
+print(loaded())
+from tanglekit import cli
+cli.run(["det", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"])
+print(loaded())
+print("dataclasses" in sys.modules, "inspect" in sys.modules)
+"""
+
+
+def test_import_loads_no_submodule_and_det_loads_two_light_ones():
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED], capture_output=True, text=True,
+        cwd=SRC, check=True, timeout=60,
+    )
+    at_import, det, after_det, heavy = proc.stdout.splitlines()
+    assert at_import == "[]"
+    assert det == "3"
+    assert after_det == str(
+        ["tanglekit.cli", "tanglekit.coloring", "tanglekit.diagram"]
+    )
+    # the determinant path defines its value classes without dataclasses
+    assert heavy == "False False"
+
+
+def test_every_public_name_resolves_to_its_submodule():
+    assert len(tanglekit.__all__) == len(set(tanglekit.__all__)) == 64
+    for name in tanglekit.__all__:
+        value = getattr(tanglekit, name)
+        home = sys.modules[f"tanglekit.{tanglekit._HOME[name]}"]
+        assert getattr(home, name) is value, name
+
+
+def test_dir_lists_names_and_submodules_only():
+    names = dir(tanglekit)
+    assert names == sorted(names)
+    assert set(tanglekit.__all__) <= set(names)
+    assert {"certify", "coloring", "corpus", "diagram", "skein", "tangle"} <= set(names)
+    assert "__version__" in names
+    assert not [n for n in names if n.startswith("_") and not n.startswith("__")]
+    assert "__getattr__" not in names and "import_module" not in names
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        tanglekit.nope  # noqa: B018
+    assert not hasattr(tanglekit, "cli_main")
+
+
+def test_names_are_not_cached_so_rebinding_reaches_the_package(monkeypatch):
+    tanglekit.determinant  # noqa: B018 - resolve once before rebinding
+
+    def patched(d):
+        return 0
+
+    monkeypatch.setattr(coloring, "determinant", patched)
+    assert tanglekit.determinant is patched
+    assert "determinant" not in vars(tanglekit)

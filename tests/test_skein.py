@@ -417,3 +417,38 @@ class TestPartnerNormalization:
         tri = unoriented_triple(FareyPair(F("1/2"), F("1/3")))
         assert tri.mediant == F("2/5")
         assert tri.kind == "unoriented"
+
+
+class TestCompileOnce:
+    """splice compiles each fraction's tangle once, through a bounded cache."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        calls = []
+        compile_ = tanglekit.skein.compile_word
+
+        def counted(word):
+            calls.append(word)
+            return compile_(word)
+
+        monkeypatch.setattr(tanglekit.skein, "compile_word", counted)
+        tanglekit.skein._compiled.cache_clear()
+        yield calls
+        tanglekit.skein._compiled.cache_clear()
+
+    def test_a_fit_compiles_its_eight_probes_once(self, compiles):
+        assert fit_coefficients(figure8_template()) == (1, 0)
+        assert len(compiles) == 8
+        assert fit_coefficients(TangleTemplate(parse_pd("T[1,2,3,4] X[3,4,2,1]"))) == (-1, 1)
+        assert len(compiles) == 8
+
+    def test_a_scan_compiles_each_fraction_once(self, compiles):
+        report = two_slot_scan(NECKLACE2, 0, 1, 3)
+        assert len(compiles) == len(set(compiles)) <= 16
+        assert report == two_slot_scan(NECKLACE2, 0, 1, 3)
+        assert len(compiles) == len(set(compiles))
+
+    def test_cache_is_bounded_and_matches_compile_word(self, compiles):
+        assert tanglekit.skein._compiled.cache_info().maxsize == 256
+        for f in reduced_fractions(4):
+            assert tanglekit.skein._compiled(f) == compile_word(fraction_word(f))

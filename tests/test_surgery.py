@@ -8,13 +8,16 @@ orientation-transport path.
 """
 
 import hashlib
+from functools import cached_property
 from itertools import product
 
 import pytest
 
 from tanglekit.corpus import bundled_templates, load_corpus
 from tanglekit.diagram import (
+    LinkDiagram,
     PDError,
+    components,
     crossing_change,
     fill_slot,
     oriented_resolve,
@@ -26,6 +29,7 @@ from tanglekit.skein import (
     figure8_template,
     orientation_compatible,
     reduced_fractions,
+    splice,
 )
 from tanglekit.tangle import TangleFraction, compile_word, fraction_word
 
@@ -34,7 +38,7 @@ TEMPLATES = bundled_templates()
 
 
 def flag_vectors(d):
-    return product((1, -1), repeat=len(d._trace()))
+    return product((1, -1), repeat=len(d._units))
 
 
 def compiled(f):
@@ -129,3 +133,49 @@ class TestIncompatibleFill:
             else:
                 with pytest.raises(PDError):
                     fill_slot(t.diagram, slot, *compiled(f))
+
+
+class TestTraceCount:
+    """Each diagram traces its units once, so a surgery step costs a bounded
+    number of traces whatever the caller asks of the result."""
+
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        count = [0]
+        units = LinkDiagram._units.func
+
+        def counted(d):
+            count[0] += 1
+            return units(d)
+
+        prop = cached_property(counted)
+        prop.__set_name__(LinkDiagram, "_units")
+        monkeypatch.setattr(LinkDiagram, "_units", prop)
+        return count
+
+    @pytest.mark.parametrize("tag", ["parallel", "antiparallel"])
+    def test_oriented_splice_and_resolve(self, traces, tag):
+        spliced = 0
+        for f in (TangleFraction(3, 8), TangleFraction(5, 8), TangleFraction(2, 5)):
+            t = figure8_template(tag)  # a fresh template: its own trace counts
+            if not orientation_compatible(t, 0, f):
+                continue
+            spliced += 1
+            traces[0] = 0
+            out = splice(t, 0, f)
+            edge_directions, n = out.edge_directions(), components(out)
+            assert edge_directions and n >= 1
+            assert traces[0] <= 3
+            traces[0] = 0
+            r = oriented_resolve(out, 0)
+            r.edge_directions()
+            components(r)
+            assert traces[0] <= 2
+        assert spliced >= 2
+
+    def test_unoriented_diagram_traces_once(self, traces):
+        d = CORPUS[-1]
+        d = LinkDiagram(d.crossings, d.slots, d.loops)
+        traces[0] = 0
+        assert components(d) == components(d)
+        assert traces[0] == 1
