@@ -18,9 +18,9 @@ shares no code path with the generators' recursion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import _Record
 from .coloring import determinant
 from .diagram import LinkDiagram, PDError, components, connected_sum, parse_pd
 from . import skein as _skein
@@ -84,35 +84,30 @@ class CertificateError(ValueError):
 MAX_CERTIFICATE_STEPS = 200_000
 
 
-@dataclass(frozen=True, slots=True)
-class CertNode:
-    frac: TangleFraction
-    orient: str | None
-    just: tuple  # ("base", name) | ("triple", i, j, resolution_index_or_None)
+class CertNode(_Record):
+    # just: ("base", name) | ("triple", i, j, resolution_index_or_None)
+    __slots__ = _fields = ("frac", "orient", "just")
+
+    def __init__(self, frac: TangleFraction, orient: str | None, just: tuple) -> None:
+        object.__setattr__(self, "frac", frac)
+        object.__setattr__(self, "orient", orient)
+        object.__setattr__(self, "just", just)
 
 
-@dataclass(frozen=True)
-class OrientedTarget:
-    fraction: TangleFraction
-    orientation: str
+class OrientedTarget(_Record):
+    __slots__ = _fields = ("fraction", "orientation")
 
-    def __post_init__(self) -> None:
-        if self.orientation not in (PARALLEL, ANTIPARALLEL):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        forced = (
-            orientation_class(self.fraction) if self.fraction.q % 2 == 1 else None
-        )
-        if forced is not None and forced != self.orientation:
-            raise CertificateError(
-                f"{self.fraction} admits only the {forced} orientation"
-            )
+    def __init__(self, fraction: TangleFraction, orientation: str) -> None:
+        if orientation not in (PARALLEL, ANTIPARALLEL):
+            raise ValueError(f"unknown orientation {orientation!r}")
+        forced = orientation_class(fraction) if fraction.q % 2 == 1 else None
+        if forced is not None and forced != orientation:
+            raise CertificateError(f"{fraction} admits only the {forced} orientation")
+        _Record.__init__(self, fraction, orientation)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    nodes: tuple[CertNode, ...]
-    ambient: TangleTemplate
+class Certificate(_Record):
+    __slots__ = _fields = ("kind", "nodes", "ambient")
 
     @property
     def target(self) -> TangleFraction:
@@ -122,12 +117,14 @@ class Certificate:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    check: int | None = None
-    node: int | None = None
-    message: str = "ACCEPT"
+class Verdict(_Record):
+    __slots__ = _fields = ("accepted", "check", "node", "message")
+
+    def __init__(
+        self, accepted: bool, check: int | None = None, node: int | None = None,
+        message: str = "ACCEPT",
+    ) -> None:
+        _Record.__init__(self, accepted, check, node, message)
 
     def __str__(self) -> str:
         if self.accepted:
@@ -551,4 +548,8 @@ def save_certificate(cert: Certificate, path: str) -> None:
 
 def load_certificate(path: str) -> Certificate:
     with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise CertificateError("certificate JSON is nested too deeply") from None
+    return certificate_from_json(data)

@@ -21,7 +21,8 @@ that never passes under) have determinant 0.
 
 from __future__ import annotations
 
-from .diagram import LinkDiagram, PDError, _Record, _UnionFind, is_planar
+from ._record import _Record
+from .diagram import LinkDiagram, PDError, _UnionFind, is_planar
 
 __all__ = [
     "ColoringMatrix",
@@ -36,10 +37,7 @@ __all__ = [
 class ColoringMatrix(_Record):
     """Crossing-relation coefficients: rows index crossings, columns arcs."""
 
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
+    __slots__ = _fields = ("entries",)
 
     @property
     def rows(self) -> int:

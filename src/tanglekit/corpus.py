@@ -10,21 +10,17 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
+from ._record import _Record
 from .diagram import LinkDiagram, parse_pd
 from .skein import TangleTemplate
 
 __all__ = ["CorpusEntry", "load_corpus", "bundled_corpus_text", "bundled_templates"]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    pd: str
-    components: int
-    determinant: int
+class CorpusEntry(_Record):
+    __slots__ = _fields = ("name", "pd", "components", "determinant")
 
     def diagram(self) -> LinkDiagram:
         return parse_pd(self.pd)

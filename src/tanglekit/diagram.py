@@ -24,6 +24,8 @@ from collections.abc import Callable, Iterable
 from functools import cached_property
 from itertools import combinations
 
+from ._record import _Record
+
 __all__ = [
     "LinkDiagram",
     "CrossingSite",
@@ -47,45 +49,8 @@ class PDError(ValueError):
     """Malformed PD text or invalid diagram data."""
 
 
-class _Record:
-    """An immutable value: the attributes named in `_fields`, set once by
-    __init__, define equality, hash and repr, as for a frozen dataclass.
-
-    Written out because importing `dataclasses` loads `inspect` (with `ast`,
-    `dis` and `tokenize`): about 0.8 MB of memory and 6 ms of start-up that
-    the determinant path and `tanglekit det` would pay for three classes.
-    The instance __dict__ also holds values derived from the fields.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class CrossingSite(_Record):
-    _fields = ("index",)
-
-    def __init__(self, index: int) -> None:
-        object.__setattr__(self, "index", index)
+    __slots__ = _fields = ("index",)
 
 
 def _site_index(site: "CrossingSite | int") -> int:
@@ -122,6 +87,7 @@ class _UnionFind:
 
 
 class LinkDiagram(_Record):
+    # no __slots__: __dict__ keeps the traced units, coloring system and determinant
     _fields = ("crossings", "slots", "loops", "orientation")
 
     def __init__(
@@ -131,11 +97,8 @@ class LinkDiagram(_Record):
         loops: int = 0,
         orientation: tuple[int, ...] | None = None,
     ) -> None:
-        put = object.__setattr__
-        put(self, "crossings", tuple(_canon(tuple(t)) for t in crossings))
-        put(self, "slots", tuple(tuple(t) for t in slots))
-        put(self, "loops", loops)
-        put(self, "orientation", orientation)
+        crossings = tuple(_canon(tuple(t)) for t in crossings)
+        _Record.__init__(self, crossings, tuple(map(tuple, slots)), loops, orientation)
         if self.loops < 0:
             raise PDError("negative loop count")
         if not self.crossings and not self.slots and self.loops == 0:
@@ -165,7 +128,7 @@ class LinkDiagram(_Record):
 
     @property
     def arc_count(self) -> int:
-        # labels are compact 1..n and each occurs twice (__post_init__)
+        # labels are compact 1..n and each occurs twice (checked in __init__)
         return 2 * (len(self.crossings) + len(self.slots))
 
     @property

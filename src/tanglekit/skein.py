@@ -10,10 +10,10 @@ can have determinant zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from ._record import _Record
 from .coloring import determinant
 from .diagram import LinkDiagram, fill_slot, is_planar, parse_pd
 from .tangle import (
@@ -59,50 +59,47 @@ class TemplateError(ValueError):
     """Template lacking the structure an operation needs."""
 
 
-@dataclass(frozen=True)
-class FareyPair:
-    f1: TangleFraction
-    f2: TangleFraction
+class FareyPair(_Record):
+    __slots__ = _fields = ("f1", "f2")
 
-    def __post_init__(self) -> None:
-        a, b = self.f1.p, self.f1.q
-        c, d = self.f2.p, self.f2.q
-        if abs(a * d - b * c) != 1:
-            raise ValueError(f"{self.f1} and {self.f2} are not Farey neighbors")
+    def __init__(self, f1: TangleFraction, f2: TangleFraction) -> None:
+        if abs(f1.p * f2.q - f1.q * f2.p) != 1:
+            raise ValueError(f"{f1} and {f2} are not Farey neighbors")
+        _Record.__init__(self, f1, f2)
 
 
-@dataclass(frozen=True)
-class SkeinTriple:
+class SkeinTriple(_Record):
     """Fractions of an unoriented (pair + mediant) or oriented skein triple.
 
     For the oriented kind, `partner` is the crossing-change companion of the
     mediant and `resolution` is whichever pair member the orientation selects.
     """
 
-    kind: str
-    f1: TangleFraction
-    f2: TangleFraction
-    mediant: TangleFraction
-    partner: TangleFraction | None = None
-    resolution: TangleFraction | None = None
+    __slots__ = _fields = ("kind", "f1", "f2", "mediant", "partner", "resolution")
+
+    def __init__(
+        self, kind: str, f1: TangleFraction, f2: TangleFraction,
+        mediant: TangleFraction, partner: TangleFraction | None = None,
+        resolution: TangleFraction | None = None,
+    ) -> None:
+        _Record.__init__(self, kind, f1, f2, mediant, partner, resolution)
 
 
-@dataclass(frozen=True)
-class TangleTemplate:
+class TangleTemplate(_Record):
     """A diagram with open slots and optional per-slot determinant model."""
 
-    diagram: LinkDiagram
-    coeffs: tuple[tuple[int, int] | None, ...] = ()
+    __slots__ = _fields = ("diagram", "coeffs")
 
-    def __post_init__(self) -> None:
-        if not self.diagram.slots:
+    def __init__(
+        self, diagram: LinkDiagram, coeffs: tuple[tuple[int, int] | None, ...] = ()
+    ) -> None:
+        if not diagram.slots:
             raise TemplateError("template diagram has no slots")
-        if not self.coeffs:
-            object.__setattr__(
-                self, "coeffs", (None,) * len(self.diagram.slots)
-            )
-        elif len(self.coeffs) != len(self.diagram.slots):
+        if not coeffs:
+            coeffs = (None,) * len(diagram.slots)
+        elif len(coeffs) != len(diagram.slots):
             raise TemplateError("one coefficient pair per slot required")
+        _Record.__init__(self, diagram, coeffs)
 
     @property
     def slot_count(self) -> int:
@@ -310,12 +307,10 @@ def reduced_fractions(bound: int) -> list[TangleFraction]:
     return out
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     """Per-x zero-determinant companions of a two-slot template."""
 
-    bound: int
-    records: tuple[tuple[TangleFraction, int, tuple[TangleFraction, ...]], ...]
+    __slots__ = _fields = ("bound", "records")
 
     @property
     def max_zero_count(self) -> int:

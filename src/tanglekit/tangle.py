@@ -14,8 +14,10 @@ b-d. Negative twists are crossing-wise mirrors of positive ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from math import gcd
+
+from ._record import _Record
 
 __all__ = [
     "TangleFraction",
@@ -51,20 +53,26 @@ _CLASS_BY_PARITY = {(0, 1): AB_CD, (1, 0): AC_BD, (1, 1): AD_BC}
 _PARITY_BY_CLASS = {v: k for k, v in _CLASS_BY_PARITY.items()}
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class TangleFraction:
+@total_ordering
+class TangleFraction(_Record):
     """A reduced element of Q+ : q >= 0, gcd(|p|, q) = 1, infinity stored as 1/0."""
 
-    p: int
-    q: int
+    __slots__ = _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.q < 0:
+    def __init__(self, p: int, q: int) -> None:
+        if q < 0:
             raise ValueError("denominator must be >= 0 after normalization")
-        if self.q == 0 and self.p != 1:
+        if q == 0 and p != 1:
             raise ValueError("infinity must be normalized to 1/0")
-        if gcd(abs(self.p), self.q) != 1:
-            raise ValueError(f"fraction {self.p}/{self.q} is not reduced")
+        if gcd(abs(p), q) != 1:
+            raise ValueError(f"fraction {p}/{q} is not reduced")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q) < (other.p, other.q)
 
     @staticmethod
     def make(p: int, q: int) -> "TangleFraction":
@@ -100,27 +108,26 @@ class TangleFraction:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(_Record):
     """Odd-length tangle continued fraction; terms[0] may be None, meaning 1/0."""
 
-    terms: tuple[int | None, ...]
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        t = self.terms
-        if len(t) == 0 or len(t) % 2 == 0:
+    def __init__(self, terms: tuple[int | None, ...]) -> None:
+        if len(terms) == 0 or len(terms) % 2 == 0:
             raise ValueError("continued fraction must have odd positive length")
-        for i, a in enumerate(t):
+        for i, a in enumerate(terms):
             if a is None:
                 if i != 0:
                     raise ValueError("infinite term allowed only in the first slot")
             elif not isinstance(a, int):
                 raise TypeError("terms must be integers (or None first)")
-        if len(t) > 1 and t[0] == 0:
+        if len(terms) > 1 and terms[0] == 0:
             raise ValueError("leading term must be nonzero or infinite")
-        for a in t[1:-1]:
+        for a in terms[1:-1]:
             if a == 0:
                 raise ValueError("interior terms must be nonzero")
+        _Record.__init__(self, terms)
 
     def __str__(self) -> str:
         return "(" + ",".join("inf" if a is None else str(a) for a in self.terms) + ")"
@@ -149,8 +156,7 @@ class ContinuedFraction:
         return ContinuedFraction(tuple(terms))
 
 
-@dataclass(frozen=True)
-class TangleWord:
+class TangleWord(_Record):
     """Alternating twist instructions applied to a trivial tangle.
 
     start is 'h' (two horizontal strands) or 'v' (two vertical strands); each
@@ -158,36 +164,31 @@ class TangleWord:
     half-twists below; the sign is the handedness.
     """
 
-    start: str
-    ops: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("start", "ops")
 
-    def __post_init__(self) -> None:
-        if self.start not in ("h", "v"):
+    def __init__(self, start: str, ops: tuple[tuple[str, int], ...]) -> None:
+        if start not in ("h", "v"):
             raise ValueError("start must be 'h' or 'v'")
-        for kind, twists in self.ops:
+        for kind, twists in ops:
             if kind not in ("h", "v"):
                 raise ValueError("op kind must be 'h' or 'v'")
             if twists == 0:
                 raise ValueError("zero-twist ops are dropped at construction")
+        _Record.__init__(self, start, ops)
 
     @property
     def crossing_count(self) -> int:
         return sum(abs(t) for _, t in self.ops)
 
 
-@dataclass(frozen=True)
-class CompiledTangle:
-    """Crossings of a compiled word plus its four boundary edges.
+class CompiledTangle(_Record):
+    """Crossings of a compiled word plus its four boundary edges nw, ne, sw, se.
 
     Crossing tuples follow the ambient PD convention (counterclockwise from the
     incoming under-strand); stub edges may coincide (trivial tangles).
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    nw: int
-    ne: int
-    sw: int
-    se: int
+    __slots__ = _fields = ("crossings", "nw", "ne", "sw", "se")
 
     @property
     def stubs(self) -> tuple[int, int, int, int]:

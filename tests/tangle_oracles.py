@@ -3,7 +3,7 @@ inserts tangles by fraction only: strand tracing, aligned compilations of skein
 triples, insertion of compiled crossings straight into a slot, the pairwise
 two-slot scan, and the component-merging skein step."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from tanglekit.certify import ORIENTED, UNORIENTED
 from tanglekit.coloring import determinant
@@ -94,9 +94,8 @@ def _raw_word(terms: tuple[int, ...], parity: str) -> TangleWord:
 def _flip_crossing(t: CompiledTangle, index: int) -> CompiledTangle:
     x = t.crossings[index]
     flipped = (x[1], x[2], x[3], x[0])
-    return replace(
-        t, crossings=t.crossings[:index] + (flipped,) + t.crossings[index + 1 :]
-    )
+    crossings = t.crossings[:index] + (flipped,) + t.crossings[index + 1 :]
+    return CompiledTangle(crossings, t.nw, t.ne, t.sw, t.se)
 
 
 def mediant_words(med: TangleFraction) -> AlignedWords:

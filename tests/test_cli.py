@@ -230,6 +230,7 @@ class TestCertifyVerify:
             '{"kind": "unoriented", "ambient": {"pd": "T[1,2,1,2]", "coeffs": [1, 0]},'
             ' "nodes": [{"frac": "2/5", "just": {"triple": [0]}}]}',
             "{not json",
+            pytest.param("[" * 200_000, id="deeply-nested"),
         ],
     )
     def test_malformed_certificate_file_is_domain_error(self, capsys, tmp_path, text):
@@ -237,6 +238,7 @@ class TestCertifyVerify:
         path.write_text(text)
         code, out, err = invoke(capsys, "verify", str(path))
         assert code == 1 and out == "" and err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestCorpus:

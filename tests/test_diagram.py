@@ -1,5 +1,12 @@
+import copy
+import pickle
+
 import pytest
 
+from tanglekit._record import _Record
+from tanglekit.certify import Certificate, CertNode, OrientedTarget, Verdict
+from tanglekit.coloring import ColoringMatrix
+from tanglekit.corpus import CorpusEntry
 from tanglekit.diagram import (
     CrossingSite,
     LinkDiagram,
@@ -14,6 +21,9 @@ from tanglekit.diagram import (
     pd_string,
     resolve,
 )
+from tanglekit.skein import FareyPair, ScanReport, SkeinTriple, TangleTemplate
+from tanglekit.tangle import CompiledTangle, ContinuedFraction, TangleWord
+from tanglekit.tangle import TangleFraction as F
 
 UNKNOT_KINK = "X[1,2,2,1]"
 UNKNOT_0 = "U"
@@ -305,8 +315,83 @@ class TestFillSlot:
         assert components(out) == 1
 
 
+def _fig8() -> TangleTemplate:
+    return TangleTemplate(parse_pd(FIG8_TEMPLATE), ((1, 0),))
+
+
+def _node() -> CertNode:
+    return CertNode(F(1, 1), None, ("base", "unknot"))
+
+
+FIG8_REPR = (
+    "TangleTemplate(diagram=LinkDiagram(crossings=(), slots=((1, 2, 1, 2),),"
+    " loops=0, orientation=None), coeffs=((1, 0),))"
+)
+NODE_REPR = (
+    "CertNode(frac=TangleFraction(p=1, q=1), orient=None, just=('base', 'unknot'))"
+)
+
+# one instance of every record class, built fresh by each call, and its repr
+RECORDS = [
+    (lambda: parse_pd(UNKNOT_KINK),
+     "LinkDiagram(crossings=((1, 2, 2, 1),), slots=(), loops=0, orientation=None)"),
+    (lambda: CrossingSite(3), "CrossingSite(index=3)"),
+    (lambda: ColoringMatrix(((1, -1), (-1, 1))),
+     "ColoringMatrix(entries=((1, -1), (-1, 1)))"),
+    (lambda: F(-2, 5), "TangleFraction(p=-2, q=5)"),
+    (lambda: ContinuedFraction((None, 2, 3)), "ContinuedFraction(terms=(None, 2, 3))"),
+    (lambda: TangleWord("h", (("v", 2), ("h", -1))),
+     "TangleWord(start='h', ops=(('v', 2), ('h', -1)))"),
+    (lambda: CompiledTangle(((1, 2, 4, 3),), 1, 3, 2, 4),
+     "CompiledTangle(crossings=((1, 2, 4, 3),), nw=1, ne=3, sw=2, se=4)"),
+    (lambda: FareyPair(F(1, 2), F(1, 3)),
+     "FareyPair(f1=TangleFraction(p=1, q=2), f2=TangleFraction(p=1, q=3))"),
+    (lambda: SkeinTriple("unoriented", F(1, 2), F(1, 3), F(2, 5)),
+     "SkeinTriple(kind='unoriented', f1=TangleFraction(p=1, q=2),"
+     " f2=TangleFraction(p=1, q=3), mediant=TangleFraction(p=2, q=5),"
+     " partner=None, resolution=None)"),
+    (_fig8, FIG8_REPR),
+    (lambda: ScanReport(1, ((F(1, 0), 1, (F(0, 1),)),)),
+     "ScanReport(bound=1, records=((TangleFraction(p=1, q=0), 1,"
+     " (TangleFraction(p=0, q=1),)),))"),
+    (_node, NODE_REPR),
+    (lambda: OrientedTarget(F(1, 2), "parallel"),
+     "OrientedTarget(fraction=TangleFraction(p=1, q=2), orientation='parallel')"),
+    (lambda: Certificate("unoriented", (_node(),), _fig8()),
+     f"Certificate(kind='unoriented', nodes=({NODE_REPR},), ambient={FIG8_REPR})"),
+    (lambda: Verdict(False, 3, 1, "determinant zero"),
+     "Verdict(accepted=False, check=3, node=1, message='determinant zero')"),
+    (lambda: CorpusEntry("3_1", TREFOIL, 1, 3),
+     f"CorpusEntry(name='3_1', pd='{TREFOIL}', components=1, determinant=3)"),
+]
+
+
 class TestValueSemantics:
-    """LinkDiagram, CrossingSite and ColoringMatrix behave as frozen records."""
+    """Every value class behaves as a frozen dataclass record."""
+
+    @pytest.mark.parametrize(
+        "make, text", RECORDS, ids=[text.partition("(")[0] for _, text in RECORDS]
+    )
+    def test_every_record_class(self, make, text):
+        a, b = make(), make()
+        values = tuple(getattr(a, f) for f in a._fields)
+        assert a == b and a is not b and hash(a) == hash(b) == hash(values)
+        twin = type("Twin", (_Record,), {"_fields": a._fields})(*values)
+        assert a != twin and twin != a and a != values
+        assert repr(a) == text
+        with pytest.raises(AttributeError):
+            setattr(a, a._fields[0], None)
+        with pytest.raises(AttributeError):
+            delattr(a, a._fields[0])
+        for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert copied == a and type(copied) is type(a)
+
+    def test_tangle_fractions_order_by_p_then_q(self):
+        fs = [F(1, 2), F(-1, 3), F(1, 0), F(0, 1), F(1, 3)]
+        assert sorted(fs) == [F(-1, 3), F(0, 1), F(1, 0), F(1, 2), F(1, 3)]
+        assert F(1, 2) < F(1, 3) <= F(1, 3) and F(2, 1) > F(1, 3) >= F(1, 3)
+        with pytest.raises(TypeError):
+            F(1, 2) < (1, 3)  # noqa: B015 - only fractions compare
 
     def test_equal_by_value_and_hashable(self):
         a, b = parse_pd(TREFOIL), parse_pd(TREFOIL)
@@ -316,12 +401,6 @@ class TestValueSemantics:
         assert len({a, b, parse_pd(HOPF)}) == 2
         assert CrossingSite(1) == CrossingSite(1) != CrossingSite(2)
         assert LinkDiagram(a.crossings) == a
-
-    def test_repr_names_every_field(self):
-        assert repr(parse_pd(UNKNOT_KINK)) == (
-            "LinkDiagram(crossings=((1, 2, 2, 1),), slots=(), loops=0, orientation=None)"
-        )
-        assert repr(CrossingSite(3)) == "CrossingSite(index=3)"
 
     def test_fields_cannot_change(self):
         d = parse_pd(HOPF)

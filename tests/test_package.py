@@ -1,5 +1,6 @@
 """The package namespace: lazy submodule loading and name resolution."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,25 @@ print(loaded())
 from tanglekit import cli
 cli.run(["det", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"])
 print(loaded())
-print("dataclasses" in sys.modules, "inspect" in sys.modules)
+"""
+
+TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+VERBS = [
+    ["det", TREFOIL],
+    ["colorable", "--n", "3", TREFOIL],
+    ["tangle", "cf", "21/55"],
+    ["skein", "triple", "1/2", "1/3"],
+    ["template", "fit", "T[1,2,1,2]"],
+    ["certify", "21/55", "-o", "c.json"],
+    ["verify", "c.json"],
+    ["corpus", "check"],
+]
+
+HEAVY = """
+import sys
+from tanglekit import cli
+code = cli.run(sys.argv[1:])
+print(code, "dataclasses" in sys.modules, "inspect" in sys.modules)
 """
 
 
@@ -29,14 +48,23 @@ def test_import_loads_no_submodule_and_det_loads_two_light_ones():
         [sys.executable, "-c", LOADED], capture_output=True, text=True,
         cwd=SRC, check=True, timeout=60,
     )
-    at_import, det, after_det, heavy = proc.stdout.splitlines()
+    at_import, det, after_det = proc.stdout.splitlines()
     assert at_import == "[]"
     assert det == "3"
-    assert after_det == str(
-        ["tanglekit.cli", "tanglekit.coloring", "tanglekit.diagram"]
-    )
-    # the determinant path defines its value classes without dataclasses
-    assert heavy == "False False"
+    assert after_det == str([
+        "tanglekit._record", "tanglekit.cli", "tanglekit.coloring", "tanglekit.diagram"
+    ])
+
+
+def test_no_verb_imports_dataclasses_or_inspect(tmp_path):
+    # each verb in a fresh interpreter; certify writes the file verify reads
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv in VERBS:
+        proc = subprocess.run(
+            [sys.executable, "-c", HEAVY, *argv], capture_output=True, text=True,
+            cwd=tmp_path, env=env, check=True, timeout=60,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False False", argv
 
 
 def test_every_public_name_resolves_to_its_submodule():
