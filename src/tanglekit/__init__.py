@@ -10,10 +10,13 @@ unknot (and, in the oriented case, Hopf) bases.
 
 Importing the package loads none of its submodules: a public name is looked
 up in its submodule on each access (PEP 562), so a process that only needs
-determinants never loads the certificate code. Names are not copied into the
-package namespace, so rebinding a submodule attribute reaches every caller.
+determinants never loads the certificate code. A submodule already loaded is
+read from `sys.modules`; the import machinery runs only for the first access.
+Names are not copied into the package namespace, so rebinding a submodule
+attribute reaches every caller.
 """
 
+import sys
 from importlib import import_module
 
 _SUBMODULE_NAMES = {
@@ -95,7 +98,10 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     mod = _HOME.get(name)
     if mod is not None:
-        return getattr(import_module(f".{mod}", __name__), name)
+        module = sys.modules.get(f"{__name__}.{mod}")
+        if module is None:
+            module = import_module(f".{mod}", __name__)
+        return getattr(module, name)
     if name in _SUBMODULE_NAMES:
         return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

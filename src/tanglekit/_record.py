@@ -14,23 +14,28 @@ class _Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        get = attrgetter(*cls._fields)  # one C call; a bare value for one field
-        one = len(cls._fields) == 1
-        cls._values = (lambda self: (get(self),)) if one else (lambda self: get(self))
+        # one attrgetter per class, which equality and hash close over: a C
+        # call per operand, with no attribute lookup or extra frame around it
+        get = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:  # attrgetter of one name returns the bare value
+            get = lambda self, one=get: (one(self),)  # noqa: E731
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return get(self) == get(other)
+
+        def __hash__(self) -> int:
+            return hash(get(self))
+
+        cls._values = staticmethod(get)
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __init__(self, *values) -> None:
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -43,4 +48,4 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (type(self), self._values())
+        return (type(self), self._values(self))

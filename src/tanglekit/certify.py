@@ -12,26 +12,21 @@ verified skein triple with all members of nonzero determinant:
   the unique pair member whose endpoint pairing suits the orientation sector.
 
 The verifier re-derives every identity with exact integer arithmetic and
-shares no code path with the generators' recursion.
+shares no code path with the generators' walk.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from math import gcd
 
 from ._record import _Record
 from .coloring import determinant
 from .diagram import LinkDiagram, PDError, components, connected_sum, parse_pd
 from . import skein as _skein
-from .skein import (
-    TangleTemplate,
-    TemplateError,
-    figure8_template,
-    fit_coefficients,
-    insertion_det,
-    splice,
-)
+from .skein import TangleTemplate, TemplateError, figure8_template, fit_coefficients
+from .skein import insertion_det, splice
 from .tangle import (
     ANTIPARALLEL,
     PARALLEL,
@@ -42,21 +37,10 @@ from .tangle import (
 )
 
 __all__ = [
-    "Certificate",
-    "CertNode",
-    "OrientedTarget",
-    "Verdict",
-    "CertificateError",
-    "span_certificate",
-    "oriented_span_certificate",
-    "verify_certificate",
-    "connected_sum_certificate",
-    "certificate_to_json",
-    "certificate_from_json",
-    "save_certificate",
-    "load_certificate",
-    "UNORIENTED",
-    "ORIENTED",
+    "Certificate", "CertNode", "OrientedTarget", "Verdict", "CertificateError",
+    "span_certificate", "oriented_span_certificate", "verify_certificate",
+    "connected_sum_certificate", "certificate_to_json", "certificate_from_json",
+    "save_certificate", "load_certificate", "UNORIENTED", "ORIENTED",
 ]
 
 UNORIENTED = "unoriented"
@@ -76,22 +60,16 @@ class CertificateError(ValueError):
     """A certificate cannot be generated for the requested target."""
 
 
-# Work budget of one generator run, in DFS loop iterations: a node's first
-# visit, its emission and each repeated push of it, at most three per emitted
-# node. A target whose derivation needs more is refused: the Stern-Brocot
-# path of a target can be as long as its denominator, and the search would
-# otherwise run out of time or memory before emitting a node.
+# Work budget of one generator run, at three steps per certificate node. The
+# node count is read off the target's continued fraction before any node is
+# built, and a target whose certificate needs more steps is refused: the
+# Stern-Brocot path of a target can be as long as its denominator.
 MAX_CERTIFICATE_STEPS = 200_000
 
 
 class CertNode(_Record):
     # just: ("base", name) | ("triple", i, j, resolution_index_or_None)
     __slots__ = _fields = ("frac", "orient", "just")
-
-    def __init__(self, frac: TangleFraction, orient: str | None, just: tuple) -> None:
-        object.__setattr__(self, "frac", frac)
-        object.__setattr__(self, "orient", orient)
-        object.__setattr__(self, "just", just)
 
 
 class OrientedTarget(_Record):
@@ -107,14 +85,42 @@ class OrientedTarget(_Record):
 
 
 class Certificate(_Record):
-    __slots__ = _fields = ("kind", "nodes", "ambient")
+    """Nodes are kept as parallel columns: numerators `ps`, denominators `qs`,
+    orientation `tags` and justification tuples `justs`. The `nodes` view
+    builds their CertNode records on each access; equality, hash, repr and
+    pickling go through it."""
+
+    __slots__ = ("kind", "ambient", "ps", "qs", "tags", "justs")
+    _fields = ("kind", "nodes", "ambient")
+
+    def __init__(self, kind: str, nodes, ambient: TangleTemplate) -> None:
+        nodes = tuple(nodes)
+        self._set(
+            kind, ambient, [n.frac.p for n in nodes], [n.frac.q for n in nodes],
+            [n.orient for n in nodes], [n.just for n in nodes],
+        )
+
+    @classmethod
+    def _columns(cls, kind, ambient, ps, qs, tags, justs) -> Certificate:
+        cert = object.__new__(cls)
+        cert._set(kind, ambient, ps, qs, tags, justs)
+        return cert
+
+    def _set(self, kind, ambient, *columns) -> None:
+        for name, value in zip(self.__slots__, (kind, ambient, *map(tuple, columns))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def nodes(self) -> tuple[CertNode, ...]:
+        fracs = map(TangleFraction, self.ps, self.qs)
+        return tuple(map(CertNode, fracs, self.tags, self.justs))
 
     @property
     def target(self) -> TangleFraction:
-        return self.nodes[-1].frac
+        return TangleFraction(self.ps[-1], self.qs[-1])
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.ps)
 
 
 class Verdict(_Record):
@@ -155,16 +161,19 @@ def oriented_span_certificate(
 def _derive(
     target: TangleFraction, tag: str | None, ambient: TangleTemplate | None
 ) -> Certificate:
-    """Budgeted depth-first derivation of either kind (tag None: unoriented).
+    """One walk down the target's Stern-Brocot path, for either kind (tag
+    None: unoriented).
 
-    Denominator recursion: for j/k pick q with q*j = -1 (mod k); the parents
-    (qj+1)/k over q and (j(k-q)-1)/k over k-q are the Farey pair with mediant
-    j/k whose denominators are positive. An unoriented node cites both. An
-    oriented node cites its crossing-change partner, the parents' difference,
-    and its marked resolution, the one parent in its sector; both depend on
-    the unordered pair only, and the pair of -j/k mirrors the pair of j/k.
-    Denominator 1 insertions close to the unknot and are bases, and for the
-    oriented kind so are denominator 2 ones, which close to the Hopf link.
+    The walk starts from the bounds n/1 < target < (n+1)/1 and replaces one
+    bound by their mediant per step, in the runs of _runs, until the mediant
+    is the target. An unoriented node is a mediant and cites the current
+    bounds, the upper first. An oriented node is a mediant in the target's
+    sector with denominator above 2. It cites its crossing-change partner,
+    the bounds' difference, which is the bound the last step replaced, and
+    its marked resolution, the one bound in its sector. Denominator 1
+    insertions close to the unknot and are bases, and for the oriented kind
+    so are denominator 2 ones, which close to the Hopf link. The certificate
+    is its bases followed by its path nodes from root to target.
     """
     ambient = ambient or figure8_template()
     if ambient.slot_count != 1:
@@ -176,67 +185,86 @@ def _derive(
     compat = _SECTOR_PARITIES[tag] if tag else None
     if compat and target.parity() not in compat:
         raise CertificateError(f"{target} is not {tag}-compatible")
-    a, b = ambient.coeffs[0]
-    nodes: list[CertNode] = []
-    # the recursion runs on reduced (p, q) pairs; a fraction is built only
-    # for an emitted node
-    memo: dict[tuple[int, int], int] = {}
-    stack = [(target.p, target.q)]
-    steps = 0
-    while stack:
-        steps += 1
-        if steps > MAX_CERTIFICATE_STEPS:
-            raise CertificateError(
-                f"certificate for {target} needs more than {MAX_CERTIFICATE_STEPS} "
-                "generation steps"
-            )
-        f = stack[-1]
-        if f in memo:
-            stack.pop()
-            continue
-        j, k = f
-        if compat and (j % 2, k % 2) not in compat:  # pragma: no cover - selection bug
-            raise CertificateError(f"node {j}/{k} incompatible with {tag} sector")
-        if b * j == a * k:
-            raise CertificateError(
-                f"derivation of {target} passes through the zero locus {j}/{k}"
-            )
-        if k == 1 or (k == 2 and tag):
-            just: tuple = ("base", BASE_UNKNOT if k == 1 else BASE_HOPF)
-        else:
-            q = (-pow(j, -1, k)) % k
-            p1 = ((q * j + 1) // k, q)
-            p2 = ((j * (k - q) - 1) // k, k - q)
-            if compat:
-                p1, p2 = _partner_and_resolution(p1, p2, compat)
-            i1, i2 = memo.get(p1), memo.get(p2)
-            if i1 is None or i2 is None:
-                if i2 is None:
-                    stack.append(p2)
-                if i1 is None:
-                    stack.append(p1)
-                continue
-            just = ("triple", i1, i2, i2 if compat else None)
-        memo[f] = len(nodes)
-        nodes.append(CertNode(TangleFraction(j, k), tag, just))
-        stack.pop()
-    return Certificate(ORIENTED if tag else UNORIENTED, tuple(nodes), ambient)
-
-
-def _partner_and_resolution(
-    p1: tuple[int, int], p2: tuple[int, int], compat: frozenset
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The mediant's crossing-change partner, p1 - p2 with positive
-    denominator, and the one member of the Farey pair p1, p2 in the sector."""
-    picks = [c for c in (p1, p2) if (c[0] % 2, c[1] % 2) in compat]
-    if len(picks) != 1:  # pragma: no cover - pair classes are always distinct
+    n = target.p // target.q
+    runs = _runs(target.p - n * target.q, target.q)
+    if 3 * _size(n, runs, compat) > MAX_CERTIFICATE_STEPS:
         raise CertificateError(
-            f"no unique compatible resolution in "
-            f"({p1[0]}/{p1[1]}, {p2[0]}/{p2[1]})"
+            f"certificate for {target} needs more than {MAX_CERTIFICATE_STEPS} "
+            "generation steps"
         )
-    # the denominators differ: equal ones are both 1, whose mediant is a base
-    dp, dq = p1[0] - p2[0], p1[1] - p2[1]
-    return ((-dp, -dq) if dq < 0 else (dp, dq)), picks[0]
+    a, b = ambient.coeffs[0]
+    ps, qs, justs = [], [], []
+
+    def emit(node: list, just: tuple) -> None:
+        p, q, node[2] = node[0], node[1], len(ps)
+        if b * p == a * q:
+            raise CertificateError(
+                f"derivation of {target} passes through the zero locus {p}/{q}"
+            )
+        ps.append(p)
+        qs.append(q)
+        justs.append(just)
+
+    # path nodes as [p, q, index], the index None unless the node is emitted;
+    # h is the first mediant, the one with denominator 2
+    lo, hi, h, last = [n, 1, None], [n + 1, 1, None], [2 * n + 1, 2, None], None
+    if target.q == 1:
+        bases = [lo]
+    elif compat is None:
+        bases = [hi, lo]
+    else:
+        # h is in either sector, and one integer bound is; a node's partner
+        # has its parity, so the target's partners lead to h iff q is even
+        b1 = lo if (n % 2, 1) in compat else hi
+        bases = [h] if target.q == 2 else [h, b1] if target.q % 2 == 0 else [b1, h]
+    for node in bases:
+        emit(node, ("base", BASE_UNKNOT if node[1] == 1 else BASE_HOPF))
+    for r, count in enumerate(runs):
+        upper = r % 2 == 0  # the run moves the upper bound
+        for _ in range(count):
+            p, q = lo[0] + hi[0], lo[1] + hi[1]
+            node = [p, q, None] if q > 2 else h
+            if compat is None:
+                emit(node, ("triple", hi[2], lo[2], None))
+            elif q > 2 and (p % 2, q % 2) in compat:
+                res = lo if (lo[0] % 2, lo[1] % 2) in compat else hi
+                emit(node, ("triple", last[2], res[2], res[2]))
+            if upper:
+                last, hi = hi, node
+            else:
+                last, lo = lo, node
+    return Certificate._columns(
+        ORIENTED if tag else UNORIENTED, ambient, ps, qs, (tag,) * len(ps), justs
+    )
+
+
+def _runs(r: int, k: int) -> list[int]:
+    """Mediants per run of the walk from 0/1 < r/k < 1/1 to r/k, 0 <= r < k:
+    runs alternately move the upper and the lower bound, and their lengths
+    are the partial quotients of r/k = [0; a1, ..., am], a1 less one."""
+    runs = []
+    while r:
+        runs.append(k // r)
+        k, r = r, k % r
+    if runs:
+        runs[0] -= 1
+    return runs
+
+
+def _size(n: int, runs: list[int], compat: frozenset | None) -> int:
+    """Node count of the certificate a walk emits, counted from its runs."""
+    if compat is None:
+        return 2 + sum(runs) if runs else 1
+    # bound parities, lower and upper; a run moving x against the fixed y
+    # makes mediants of parity x + y and x in turn
+    bounds = [(n % 2, 1), ((n + 1) % 2, 1)]
+    triples = -1  # the first mediant, (2n+1)/2, is in either sector: a base
+    for r, count in enumerate(runs):
+        x, y = bounds[1 - r % 2], bounds[r % 2]
+        xy = ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2)
+        triples += (count + 1) // 2 * (xy in compat) + count // 2 * (x in compat)
+        bounds[1 - r % 2] = xy if count % 2 else x
+    return 2 + triples if triples > 0 else 1
 
 
 # -- verification ----------------------------------------------------------------
@@ -272,8 +300,8 @@ def verify_certificate(
        correctness of the marked resolution;
     5. bases restricted to the generating family.
 
-    Checks 2-5 run on each node's integer pair; fractions appear only in
-    REJECT messages, formatted as p/q.
+    Checks 2-5 run on the certificate's integer columns; fractions appear
+    only in REJECT messages, formatted as p/q.
     """
     ambient = ambient or cert.ambient
     if ambient.slot_count != 1 or ambient.coeffs[0] is None:
@@ -291,17 +319,14 @@ def verify_certificate(
         )
     if cert.kind not in (UNORIENTED, ORIENTED):
         return Verdict(False, 0, None, f"unknown kind {cert.kind!r}")
-    if not cert.nodes:
+    if not len(cert):
         return Verdict(False, 0, None, "empty certificate")
 
     oriented = cert.kind == ORIENTED
     a, b = ambient.coeffs[0]
-    nodes = cert.nodes
-    ps = [n.frac.p for n in nodes]
-    qs = [n.frac.q for n in nodes]
-    for m, node in enumerate(nodes):
+    ps, qs, tags = cert.ps, cert.qs, cert.tags
+    for m, just in enumerate(cert.justs):
         p, q = ps[m], qs[m]
-        just = node.just
         kind = just[0]
         if kind == "triple":
             _, i, j, res = just
@@ -334,7 +359,7 @@ def verify_certificate(
             return Verdict(False, 3, m, f"{p}/{q} has determinant zero")
 
         if oriented:
-            tag = node.orient
+            tag = tags[m]
             if tag not in (PARALLEL, ANTIPARALLEL):
                 return Verdict(False, 4, m, "oriented node missing its tag")
             # an odd denominator forces the tag: even numerator antiparallel
@@ -344,7 +369,7 @@ def verify_certificate(
             if (p % 2, q % 2) not in compat:
                 return Verdict(False, 4, m, f"{p}/{q} incompatible with its sector")
             if kind == "triple":
-                if nodes[i].orient != tag or nodes[j].orient != tag:
+                if tags[i] != tag or tags[j] != tag:
                     return Verdict(False, 4, m, "triple members carry different tags")
                 op, oq = pair[1] if (rp, rq) == pair[0] else pair[0]
                 if (rp % 2, rq % 2) not in compat:
@@ -356,7 +381,7 @@ def verify_certificate(
                         False, 4, m,
                         f"resolution is ambiguous: {op}/{oq} is also compatible",
                     )
-        elif node.orient is not None:
+        elif tags[m] is not None:
             return Verdict(False, 4, m, "unoriented node carries a tag")
 
         if kind == "base":
@@ -438,7 +463,7 @@ def connected_sum_certificate(
     lifted_diagram = connected_sum(c1.ambient.diagram, 1, k2, 1)
     a, b = c1.ambient.coeffs[0]
     lifted = TangleTemplate(lifted_diagram, ((a * det2, b * det2),))
-    return Certificate(c1.kind, c1.nodes, lifted)
+    return Certificate._columns(c1.kind, lifted, c1.ps, c1.qs, c1.tags, c1.justs)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -448,17 +473,16 @@ def certificate_to_json(cert: Certificate) -> dict:
     from .diagram import pd_string
 
     nodes = []
-    for n in cert.nodes:
-        just = n.just
+    for p, q, tag, just in zip(cert.ps, cert.qs, cert.tags, cert.justs):
         if just[0] == "base":
             j: dict = {"base": just[1]}
         else:
             j = {"triple": [just[1], just[2]]}
             if just[3] is not None:
                 j["resolution"] = just[3]
-        entry: dict = {"frac": f"{n.frac.p}/{n.frac.q}", "just": j}
-        if n.orient is not None:
-            entry["orient"] = n.orient
+        entry: dict = {"frac": f"{p}/{q}", "just": j}
+        if tag is not None:
+            entry["orient"] = tag
         nodes.append(entry)
     return {
         "kind": cert.kind,
@@ -490,45 +514,47 @@ def certificate_from_json(data: dict) -> Certificate:
         )
     except (PDError, TemplateError) as exc:
         raise CertificateError(f"ambient: {exc}") from None
-    nodes = [
-        _node_from_json(entry, m)
-        for m, entry in enumerate(_field(data, "nodes", list, "certificate"))
-    ]
-    return Certificate(kind, tuple(nodes), ambient)
-
-
-def _node_from_json(entry, m: int) -> CertNode:
-    if not isinstance(entry, dict):
-        raise CertificateError(f"node {m} must be a JSON object")
-    text, j, orient = entry.get("frac"), entry.get("just"), entry.get("orient")
-    if not isinstance(text, str):
-        raise CertificateError(f"node {m}: 'frac' must be a JSON string")
-    if not isinstance(j, dict):
-        raise CertificateError(f"node {m}: 'just' must be a JSON object")
-    if orient is not None and not isinstance(orient, str):
-        raise CertificateError(f"node {m}: 'orient' must be a JSON string")
-    # the recorded value itself must be a reduced p/q, not merely denote one
-    num, sep, den = text.partition("/")
-    try:
-        frac = TangleFraction(int(num), int(den) if sep else 1)
-    except ValueError as exc:
-        raise CertificateError(f"node {m}: bad fraction {text!r}: {exc}") from None
-    if "base" in j:
-        name = j["base"]
-        if not isinstance(name, str):
-            raise CertificateError(f"node {m}: 'base' must be a JSON string")
-        return CertNode(frac, orient, ("base", name))
-    if "triple" in j:
-        pair, res = j["triple"], j.get("resolution")
-        if not (
-            type(pair) is list and len(pair) == 2
-            and type(pair[0]) is int and type(pair[1]) is int
-        ):
-            raise CertificateError(f"node {m}: 'triple' must be two node indices")
-        if res is not None and type(res) is not int:
-            raise CertificateError(f"node {m}: 'resolution' must be a node index")
-        return CertNode(frac, orient, ("triple", pair[0], pair[1], res))
-    raise CertificateError(f"node {m}: 'just' needs a base or a triple")
+    ps, qs, tags, justs = [], [], [], []
+    for m, entry in enumerate(_field(data, "nodes", list, "certificate")):
+        if not isinstance(entry, dict):
+            raise CertificateError(f"node {m} must be a JSON object")
+        text, j, orient = entry.get("frac"), entry.get("just"), entry.get("orient")
+        if not isinstance(text, str):
+            raise CertificateError(f"node {m}: 'frac' must be a JSON string")
+        if not isinstance(j, dict):
+            raise CertificateError(f"node {m}: 'just' must be a JSON object")
+        if orient is not None and not isinstance(orient, str):
+            raise CertificateError(f"node {m}: 'orient' must be a JSON string")
+        # the recorded value itself must be a reduced p/q, not merely denote one
+        num, sep, den = text.partition("/")
+        try:
+            p, q = int(num), int(den) if sep else 1
+            if q <= 0 or gcd(p, q) != 1:
+                TangleFraction(p, q)  # raises why, unless the value is 1/0
+        except ValueError as exc:
+            raise CertificateError(f"node {m}: bad fraction {text!r}: {exc}") from None
+        if "base" in j:
+            name = j["base"]
+            if not isinstance(name, str):
+                raise CertificateError(f"node {m}: 'base' must be a JSON string")
+            just: tuple = ("base", name)
+        elif "triple" in j:
+            pair, res = j["triple"], j.get("resolution")
+            if not (
+                type(pair) is list and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int
+            ):
+                raise CertificateError(f"node {m}: 'triple' must be two node indices")
+            if res is not None and type(res) is not int:
+                raise CertificateError(f"node {m}: 'resolution' must be a node index")
+            just = ("triple", pair[0], pair[1], res)
+        else:
+            raise CertificateError(f"node {m}: 'just' needs a base or a triple")
+        ps.append(p)
+        qs.append(q)
+        tags.append(orient)
+        justs.append(just)
+    return Certificate._columns(kind, ambient, ps, qs, tags, justs)
 
 
 def _field(obj: dict, key: str, typ: type, where: str):

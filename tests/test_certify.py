@@ -1,6 +1,9 @@
 import copy
 import hashlib
 import json
+import random
+import time
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +40,7 @@ from tanglekit.skein import (
 )
 from tanglekit.tangle import TangleFraction, connectivity, compatible_classes
 
+from certify_oracle import _derive as dfs_derive
 from tangle_oracles import component_reduction_step
 
 F = TangleFraction.parse
@@ -95,7 +99,8 @@ class TestSpanCertificate:
 
 
 class TestWorkBudget:
-    """Both generators stop after certify.MAX_CERTIFICATE_STEPS loop steps."""
+    """Both generators count a certificate's nodes N from the target's
+    continued fraction and refuse it iff 3N > certify.MAX_CERTIFICATE_STEPS."""
 
     GENERATORS = [
         (span_certificate, F("1/40")),
@@ -115,6 +120,28 @@ class TestWorkBudget:
         monkeypatch.setattr(certify, "MAX_CERTIFICATE_STEPS", len(generate(target)))
         with pytest.raises(CertificateError, match="generation steps"):
             generate(target)
+
+    @pytest.mark.parametrize("tag", [None, PARALLEL])
+    def test_refusal_is_counted_before_any_node_is_built(self, tag):
+        # a Stern-Brocot path of about 10^11 steps, refused from its
+        # continued fraction before any node is built
+        target = F("99999999999/100000000000")
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(CertificateError, match="generation steps"):
+                if tag is None:
+                    span_certificate(target)
+                else:
+                    oriented_span_certificate(OrientedTarget(target, tag))
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.010
+
+    def test_largest_budgeted_path_certifies(self):
+        assert 3 * 66_001 <= certify.MAX_CERTIFICATE_STEPS < 3 * 66_668
+        assert len(span_certificate(F("1/66000"))) == 66_001
+        with pytest.raises(CertificateError, match="generation steps"):
+            span_certificate(F("1/66667"))
 
 
 class TestForgeries:
@@ -574,6 +601,66 @@ def test_every_small_target_has_unchanged_bytes_or_refusal():
     assert digest.hexdigest() == (
         "ca05974b72a8df1c5dc10d5e8195759cf4677c06183c7432fc13485c091483c4"
     )
+
+
+def _differential_targets():
+    rng = random.Random(20240611)
+    targets = []
+    while len(targets) < 300:
+        q = rng.randint(1, 20_000)
+        p = rng.randint(-2 * q, 2 * q)
+        if gcd(p, q) == 1:
+            targets.append(TangleFraction(p, q))
+    return targets + [TangleFraction(p, q) for p in (1, 2) for q in (499, 500, 4999)
+                      if gcd(p, q) == 1]
+
+
+def _generated(derive, target, tag, ambient):
+    try:
+        return derive(target, tag, ambient)
+    except CertificateError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("tag", [None, PARALLEL, ANTIPARALLEL])
+@pytest.mark.parametrize("ambient", ["figure8", "twist", "trefoil_sum"])
+def test_walk_matches_the_depth_first_oracle(ambient, tag):
+    """The Stern-Brocot walk emits the depth-first search's certificate node
+    for node, or refuses with the same message, and its up-front node count
+    is exact."""
+    made = 0
+    for target in _differential_targets():
+        new = _generated(certify._derive, target, tag, TEMPLATES[ambient])
+        old = _generated(dfs_derive, target, tag, TEMPLATES[ambient])
+        if isinstance(old, str) or isinstance(new, str):
+            assert new == old, target
+            continue
+        assert new.kind == old.kind and new.ambient == old.ambient, target
+        assert new.nodes == old.nodes, target
+        # the budget's node count, made before the walk, is the walk's
+        runs = certify._runs(target.p % target.q, target.q)
+        compat = certify._SECTOR_PARITIES.get(tag)
+        assert certify._size(target.p // target.q, runs, compat) == len(new), target
+        made += 1
+    assert made >= 90
+
+
+def test_loading_and_verifying_builds_no_node_records(monkeypatch):
+    cert = span_certificate(F("1/999"))
+    assert len(cert) == 1000
+    data = json.loads(json.dumps(certificate_to_json(cert)))
+    assert verify_certificate(cert).accepted  # the ambient refit is memoized
+    built = []
+    for cls in (CertNode, TangleFraction):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__",
+            lambda self, *args, _init=init, _cls=cls: built.append(_cls) or _init(self, *args),
+        )
+    assert verify_certificate(certificate_from_json(data)).accepted
+    assert built == []
+    certificate_from_json(data).nodes  # noqa: B018 - the view builds them
+    assert built.count(CertNode) == built.count(TangleFraction) == 1000
 
 
 # -- fuzzing the JSON loader ------------------------------------------------------
