@@ -84,13 +84,8 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # PDError, TemplateError, CertificateError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
+        # ValueError covers PDError, TemplateError and CertificateError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

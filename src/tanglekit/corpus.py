@@ -11,10 +11,13 @@ the test suite.
 from __future__ import annotations
 
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from ._record import _Record
 from .diagram import LinkDiagram, parse_pd
-from .skein import TangleTemplate
+
+if TYPE_CHECKING:  # the skein layer loads only when templates are asked for
+    from .skein import TangleTemplate
 
 __all__ = ["CorpusEntry", "load_corpus", "bundled_corpus_text", "bundled_templates"]
 
@@ -63,7 +66,7 @@ def bundled_templates() -> dict[str, TangleTemplate]:
     stack2       two slots stacked (closure of a tangle product)
     """
     from .diagram import connected_sum
-    from .skein import figure8_template
+    from .skein import TangleTemplate, figure8_template
 
     trefoil = parse_pd("X[1,2,3,4] X[2,5,6,3] X[4,6,5,1]")
     tref_sum = connected_sum(parse_pd("T[1,2,1,2]"), 1, trefoil, 1)

@@ -4,13 +4,16 @@ A crossing X[a,b,c,d] lists its four incident edges counterclockwise starting
 from the incoming under-strand, so the under-strand runs a->c and the
 over-strand joins b and d. A slot T[a,b,c,d] lists the four boundary edges of
 a deleted tangle disk: a top-left, b top-right, c bottom-left, d bottom-right.
-`U` is a crossing-free unknot loop. Every edge label occurs exactly twice
-across all crossing and slot tuples.
+`U` is a crossing-free unknot loop.
 
-Crossing tuples are stored canonically: a tuple and its rotation by two
-positions name the same unoriented crossing (the under-strand read from the
-other end), and the lexicographically smaller is kept. Labels are compacted to
-1..n in order of first appearance.
+One label rule holds for every diagram, and the `LinkDiagram` constructor is
+the only place that applies it, so `LinkDiagram(...)` accepts exactly what
+`parse_pd` accepts. Every tuple has four entries, and every edge label is a
+positive integer that occurs exactly twice across all crossing and slot
+tuples. Labels are renumbered 1..n in order of first appearance (crossings,
+then slots) unless they already are 1..n. A crossing tuple and its rotation by
+two positions name the same unoriented crossing (the under-strand read from
+the other end), and the lexicographically smaller is stored.
 
 Orientation is one direction flag per traced unit (open strands first, then
 closed components), relative to the canonical traversal; per-edge directions
@@ -20,7 +23,7 @@ are derived. Crossing-free loops carry no flag.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable
 from functools import cached_property
 from itertools import combinations
 
@@ -57,9 +60,12 @@ def _site_index(site: "CrossingSite | int") -> int:
     return site.index if isinstance(site, CrossingSite) else int(site)
 
 
-def _canon(t: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    rot = (t[2], t[3], t[0], t[1])
-    return min(t, rot)
+def _renumbering(labels: Collection[int]) -> dict[int, int] | None:
+    """The label rule's renumbering of distinct positive labels given in
+    order of first appearance: None when they already are 1..n."""
+    if max(labels, default=0) == len(labels):
+        return None
+    return {e: i for i, e in enumerate(labels, 1)}
 
 
 class _UnionFind:
@@ -97,32 +103,44 @@ class LinkDiagram(_Record):
         loops: int = 0,
         orientation: tuple[int, ...] | None = None,
     ) -> None:
-        crossings = tuple(_canon(tuple(t)) for t in crossings)
-        _Record.__init__(self, crossings, tuple(map(tuple, slots)), loops, orientation)
-        if self.loops < 0:
+        """Check, renumber and canonicalize the labels (the module's label
+        rule) in one pass; errors name the caller's labels."""
+        crossings = [tuple(t) for t in crossings]
+        slots = [tuple(t) for t in slots]
+        if loops < 0:
             raise PDError("negative loop count")
-        if not self.crossings and not self.slots and self.loops == 0:
+        if not crossings and not slots and loops == 0:
             raise PDError("empty diagram")
-        counts: dict[int, int] = {}
-        for t in list(self.crossings) + list(self.slots):
+        counts: dict[int, int] = {}  # in order of first appearance
+        for t in crossings + slots:
             if len(t) != 4:
                 raise PDError("tuples must have four entries")
             for e in t:
                 counts[e] = counts.get(e, 0) + 1
-        n = len(counts)
-        if counts and (min(counts) != 1 or max(counts) != n):
-            raise PDError("edge labels must be compact 1..n")
-        bad = [e for e, c in counts.items() if c != 2]
-        if bad:
-            raise PDError(f"edge labels must occur exactly twice, got {sorted(bad)}")
-        if self.orientation is not None:
-            units = self._units
-            if len(self.orientation) != len(units):
-                raise PDError(
-                    f"orientation needs {len(units)} flags, got {len(self.orientation)}"
-                )
-            if any(f not in (1, -1) for f in self.orientation):
-                raise PDError("orientation flags must be +1 or -1")
+        if not all(isinstance(e, int) and e > 0 for e in counts):
+            raise PDError("edge labels must be positive integers")
+        wrong = sorted(e for e, c in counts.items() if c != 2)
+        if wrong:
+            if any(e in t for t in slots for e in wrong):
+                raise PDError(f"slot endpoint reuse: labels {wrong} occur != 2 times")
+            raise PDError(f"edge labels must occur exactly twice: {wrong}")
+        new = _renumbering(counts)
+        if new is not None:
+            crossings = [tuple(new[e] for e in t) for t in crossings]
+            slots = [tuple(new[e] for e in t) for t in slots]
+        crossings = tuple(min(t, (t[2], t[3], t[0], t[1])) for t in crossings)
+        _Record.__init__(self, crossings, tuple(slots), loops, orientation)
+        if orientation is not None:
+            self._check_orientation()
+
+    def _check_orientation(self) -> None:
+        units = self._units
+        if len(self.orientation) != len(units):
+            raise PDError(
+                f"orientation needs {len(units)} flags, got {len(self.orientation)}"
+            )
+        if any(f not in (1, -1) for f in self.orientation):
+            raise PDError("orientation flags must be +1 or -1")
 
     # -- structure ---------------------------------------------------------
 
@@ -208,44 +226,18 @@ class LinkDiagram(_Record):
         return ins
 
     def with_orientation(self, flags: tuple[int, ...] | None) -> "LinkDiagram":
-        return LinkDiagram(self.crossings, self.slots, self.loops, flags)
+        """This diagram with other flags, and no label pass: the checked
+        fields and every value cached on this diagram (traced units, coloring
+        system, determinant; none depends on orientation) are shared, and
+        only the flags are checked."""
+        out = object.__new__(LinkDiagram)
+        vars(out).update(vars(self), orientation=flags)
+        if flags is not None:
+            out._check_orientation()
+        return out
 
 
 # -- construction helpers ----------------------------------------------------
-
-
-def _rebuild(
-    crossings,
-    slots,
-    loops: int,
-    label_map=None,
-) -> tuple[LinkDiagram, dict[int, int], tuple[int, ...]]:
-    """Relabel (optional map), compact to 1..n by first appearance, build.
-
-    Returns (diagram, compact map from mapped label to new label, per-crossing
-    position rotation applied by canonicalization).
-    """
-    if label_map is not None:
-        crossings = [tuple(map(label_map, t)) for t in crossings]
-        slots = [tuple(map(label_map, t)) for t in slots]
-    tuples = [*crossings, *slots]
-    labels = {e for t in tuples for e in t}
-    if labels == set(range(1, len(labels) + 1)):
-        compact = {e: e for e in labels}
-    else:
-        compact = {}
-        for t in tuples:
-            for e in t:
-                if e not in compact:
-                    compact[e] = len(compact) + 1
-    new_crossings = tuple(tuple(compact[e] for e in t) for t in crossings)
-    new_slots = tuple(tuple(compact[e] for e in t) for t in slots)
-    diagram = LinkDiagram(new_crossings, new_slots, loops)
-    # the constructor may rotate a tuple by two; record the shift per crossing
-    rotations = tuple(
-        0 if diagram.crossings[i] == t else 2 for i, t in enumerate(new_crossings)
-    )
-    return diagram, compact, rotations
 
 
 def _inherit_orientation(new: LinkDiagram, heads: dict[int, Occ]) -> tuple[int, ...]:
@@ -290,32 +282,12 @@ def parse_pd(text: str) -> LinkDiagram:
             orient_spec = m.group("orient")
         else:
             entries = tuple(int(x) for x in m.group("body").split(","))
-            if any(e <= 0 for e in entries):
-                raise PDError("edge labels must be positive")
-            if m.group("kind") == "X":
-                crossings.append(entries)
-            else:
-                slots.append(entries)
+            (crossings if m.group("kind") == "X" else slots).append(entries)
     if text[pos:].strip():
         raise PDError(f"unrecognized PD text: {text[pos:]!r}")
-    if not crossings and not slots and loops == 0:
-        raise PDError("empty PD text")
-
-    counts: dict[int, int] = {}
-    for t in crossings + slots:
-        for e in t:
-            counts[e] = counts.get(e, 0) + 1
-    wrong = {e: c for e, c in counts.items() if c != 2}
-    if wrong:
-        slot_labels = {e for t in slots for e in t}
-        if any(e in slot_labels for e in wrong):
-            raise PDError(f"slot endpoint reuse: labels {sorted(wrong)} occur != 2 times")
-        raise PDError(f"edge labels must occur exactly twice: {sorted(wrong)}")
-
-    d, _, _ = _rebuild(crossings, slots, loops)
+    d = LinkDiagram(crossings, slots, loops)
     if orient_spec is not None:
-        flags = _parse_orientation(orient_spec, d)
-        d = d.with_orientation(flags)
+        d = d.with_orientation(_parse_orientation(orient_spec, d))
     return d
 
 
@@ -330,6 +302,8 @@ def _parse_orientation(spec: str, d: LinkDiagram) -> tuple[int, ...]:
         idx = int(m.group(1))
         if not 1 <= idx <= unit_count:
             raise PDError(f"orientation index {idx} out of range (1..{unit_count})")
+        if flags[idx - 1]:
+            raise PDError(f"orientation directive names component {idx} twice")
         flags[idx - 1] = 1 if m.group(2) == "+" else -1
     if any(f == 0 for f in flags):
         raise PDError("orientation directive must cover every component")
@@ -413,17 +387,29 @@ def _surgery(
     """
     uf = _UnionFind()
     closed = sum(not uf.union(x, y) for x, y in joins)
-    new, compact, rotations = _rebuild(crossings, slots, d.loops + closed, uf.find)
+    alias = {e: uf.find(e) for e in uf.parent}  # only the merged labels
+    if alias:
+        crossings = [tuple(alias.get(e, e) for e in t) for t in crossings]
+        slots = [tuple(alias.get(e, e) for e in t) for t in slots]
+    new = LinkDiagram(crossings, slots, d.loops + closed)
     if d.orientation is None:
         return new
+    # transport needs the constructor's renumbering and its rotations by two
+    labels = dict.fromkeys(e for t in (*crossings, *slots) for e in t)
+    renumber = _renumbering(labels) or {}
+    rotated = [
+        new.crossings[i] != tuple(renumber.get(e, e) for e in t)
+        for i, t in enumerate(crossings)
+    ]
     heads: dict[int, Occ] = {}
     for e, (_, head) in d.edge_directions().items():
         o = where(head)
         if o is not None:
             kind, i, p = o
-            if kind == 0:
-                o = (0, i, (p + rotations[i]) % 4)
-            heads[compact[uf.find(e)]] = o
+            if kind == 0 and rotated[i]:
+                o = (0, i, (p + 2) % 4)
+            e = alias.get(e, e)
+            heads[renumber.get(e, e)] = o
     return new.with_orientation(_inherit_orientation(new, heads))
 
 
@@ -500,13 +486,10 @@ def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     )
     slots = d1.slots + tuple(tuple(e + shift for e in t) for t in d2.slots)
     orientation = None
-    if d1.is_oriented and d2.is_oriented:
-        orientation = d1.orientation + d2.orientation
-    out = LinkDiagram(crossings, slots, d1.loops + d2.loops)
-    if orientation is not None and not out.slots:
+    if d1.is_oriented and d2.is_oriented and not slots:
         # unit order is d1 units then d2 units: labels are disjoint and ordered
-        out = out.with_orientation(orientation)
-    return out
+        orientation = d1.orientation + d2.orientation
+    return LinkDiagram(crossings, slots, d1.loops + d2.loops, orientation)
 
 
 def connected_sum(
@@ -530,36 +513,15 @@ def connected_sum(
     if a2 < 1 or a2 > d2.arc_count:
         raise PDError(f"edge {a2} not in second diagram")
     shift = d1.arc_count
-    a2s = a2 + shift
-
-    # Replace the second occurrence of a1 with a2s and the first occurrence of
-    # a2s with a1: the two cut strands cross-join into two merged edges.
-    seen_a1 = 0
-    seen_a2 = 0
-    crossings: list[tuple[int, ...]] = []
-    slots: list[tuple[int, ...]] = []
-    for src, dst in ((d1.crossings, crossings), (d1.slots, slots)):
-        for t in src:
-            row = []
-            for e in t:
-                if e == a1:
-                    seen_a1 += 1
-                    row.append(a1 if seen_a1 == 1 else a2s)
-                else:
-                    row.append(e)
-            dst.append(tuple(row))
-    for src, dst in ((d2.crossings, crossings), (d2.slots, slots)):
-        for t in src:
-            row = []
-            for e in t:
-                if e + shift == a2s:
-                    seen_a2 += 1
-                    row.append(a1 if seen_a2 == 1 else a2s)
-                else:
-                    row.append(e + shift)
-            dst.append(tuple(row))
-    out, _, _ = _rebuild(crossings, slots, d1.loops + d2.loops)
-    return out
+    one = [[list(t) for t in ts] for ts in (d1.crossings, d1.slots)]
+    two = [[[e + shift for e in t] for t in ts] for ts in (d2.crossings, d2.slots)]
+    # cut and swap: the second end of a1 takes a2's label and the first end of
+    # a2 takes a1's, so the two cut strands cross-join
+    kind, i, p = d1.occurrences()[a1][1]
+    one[kind][i][p] = a2 + shift
+    kind, i, p = d2.occurrences()[a2][0]
+    two[kind][i][p] = a1
+    return LinkDiagram(one[0] + two[0], one[1] + two[1], d1.loops + d2.loops)
 
 
 def fill_slot(

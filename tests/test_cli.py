@@ -36,6 +36,11 @@ class TestDet:
         code, _, err = invoke(capsys, "det", "X[1,2,3]")
         assert code == 1 and "error" in err
 
+    def test_contradictory_orientation_directive_is_domain_error(self, capsys):
+        code, out, err = invoke(capsys, "det", HOPF + " O[1:+,1:-,2:+]")
+        assert code == 1 and out == ""
+        assert err == "error: orientation directive names component 1 twice\n"
+
 
 class TestColorable:
     def test_trefoil_mod3(self, capsys):

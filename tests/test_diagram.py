@@ -118,10 +118,27 @@ class TestParse:
             parse_pd(HOPF + " O[1:+,3:-]")  # index out of range
         with pytest.raises(PDError):
             parse_pd(HOPF + " O[1:+,2:-] O[1:-,2:-]")  # two directives
+        with pytest.raises(PDError, match="names component 1 twice"):
+            parse_pd(HOPF + " O[1:+,1:-,2:+]")  # contradictory signs
+        with pytest.raises(PDError, match="names component 2 twice"):
+            parse_pd(HOPF + " O[1:+,2:+,2:+]")  # a repeat, even of one sign
 
     def test_negative_labels_rejected(self):
         with pytest.raises(PDError):
             parse_pd("X[-1,2,2,-1]")
+        with pytest.raises(PDError, match="positive"):
+            LinkDiagram([(0, 2, 2, 0)])
+
+    def test_constructor_applies_the_label_rule(self):
+        # the constructor renumbers and canonicalizes what parse_pd accepts,
+        # and its errors name the caller's labels
+        d = LinkDiagram([(30, 20, 40, 10), (10, 40, 20, 30)])
+        assert d == parse_pd("X[30,20,40,10] X[10,40,20,30]")
+        assert d.crossings == ((1, 2, 3, 4), (2, 1, 4, 3))  # the second rotated
+        with pytest.raises(PDError, match=r"exactly twice: \[30, 50\]"):
+            LinkDiagram([(30, 20, 40, 10), (10, 40, 20, 50)])
+        with pytest.raises(PDError, match="four entries"):
+            LinkDiagram([(1, 2, 2)])
 
 
 class TestResolve:

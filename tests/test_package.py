@@ -19,7 +19,7 @@ def loaded():
     return sorted(m for m in sys.modules if m.startswith("tanglekit."))
 print(loaded())
 from tanglekit import cli
-cli.run(["det", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"])
+cli.run(sys.argv[1:])
 print(loaded())
 """
 
@@ -43,16 +43,31 @@ print(code, "dataclasses" in sys.modules, "inspect" in sys.modules)
 """
 
 
-def test_import_loads_no_submodule_and_det_loads_two_light_ones():
+def run_loaded(*argv):
+    """Output lines of LOADED for one verb: the loaded submodules after the
+    package import, the verb's own output, the loaded submodules after it."""
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED], capture_output=True, text=True,
+        [sys.executable, "-c", LOADED, *argv], capture_output=True, text=True,
         cwd=SRC, check=True, timeout=60,
     )
-    at_import, det, after_det = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_import_loads_no_submodule_and_det_loads_two_light_ones():
+    at_import, det, after_det = run_loaded("det", TREFOIL)
     assert at_import == "[]"
     assert det == "3"
     assert after_det == str([
         "tanglekit._record", "tanglekit.cli", "tanglekit.coloring", "tanglekit.diagram"
+    ])
+
+
+def test_corpus_check_loads_no_skein_layer():
+    at_import, *_, summary, after_check = run_loaded("corpus", "check")
+    assert at_import == "[]" and summary.endswith(" entries check out")
+    assert after_check == str([
+        "tanglekit._record", "tanglekit.cli", "tanglekit.coloring", "tanglekit.corpus",
+        "tanglekit.diagram",
     ])
 
 

@@ -165,13 +165,23 @@ class TestTraceCount:
             out = splice(t, 0, f)
             edge_directions, n = out.edge_directions(), components(out)
             assert edge_directions and n >= 1
-            assert traces[0] <= 3
+            assert traces[0] == 1
             traces[0] = 0
             r = oriented_resolve(out, 0)
             r.edge_directions()
             components(r)
-            assert traces[0] <= 2
+            assert traces[0] == 1
         assert spliced >= 2
+
+    def test_with_orientation_does_not_trace_again(self, traces):
+        d = CORPUS[-1]
+        d = LinkDiagram(d.crossings, d.slots, d.loops)
+        traces[0] = 0
+        flags = (1,) * components(d)
+        od = d.with_orientation(flags)
+        assert od.with_orientation(None).with_orientation(flags) == od
+        assert od.edge_directions() and components(od) == len(flags)
+        assert traces[0] == 1
 
     def test_unoriented_diagram_traces_once(self, traces):
         d = CORPUS[-1]
