@@ -40,7 +40,8 @@ __all__ = [
     "Certificate", "CertNode", "OrientedTarget", "Verdict", "CertificateError",
     "span_certificate", "oriented_span_certificate", "verify_certificate",
     "connected_sum_certificate", "certificate_to_json", "certificate_from_json",
-    "save_certificate", "load_certificate", "UNORIENTED", "ORIENTED",
+    "certificate_text", "save_certificate", "load_certificate", "UNORIENTED",
+    "ORIENTED",
 ]
 
 UNORIENTED = "unoriented"
@@ -566,10 +567,16 @@ def _field(obj: dict, key: str, typ: type, where: str):
     return value
 
 
+def certificate_text(cert: Certificate) -> str:
+    """The certificate as file text: its JSON form, indented by 2, keys
+    sorted, with a trailing newline. `save_certificate` writes it and the
+    `certify` verb prints it."""
+    return json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\n"
+
+
 def save_certificate(cert: Certificate, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(certificate_text(cert))
 
 
 def load_certificate(path: str) -> Certificate:

@@ -165,11 +165,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "certify":
-        import json
-
         from .certify import (
             OrientedTarget,
-            certificate_to_json,
+            certificate_text,
             oriented_span_certificate,
             save_certificate,
             span_certificate,
@@ -186,7 +184,7 @@ def _dispatch(args) -> int:
         if args.output:
             save_certificate(cert, args.output)
         else:
-            print(json.dumps(certificate_to_json(cert), indent=2, sort_keys=True))
+            sys.stdout.write(certificate_text(cert))
         print(f"{len(cert)} nodes, {verdict}", file=sys.stderr)
         return 0 if verdict.accepted else 2
 

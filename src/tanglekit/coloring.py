@@ -12,14 +12,17 @@ n_colorable for several primes, eliminates nothing twice.
 The determinant is the absolute value of any maximal minor, computed by
 fraction-free Bareiss elimination over Python integers; no floating point.
 A coloring row has at most 3 nonzeros, so above a small size the elimination
-runs on sparse rows with least-fill (Markowitz) pivots; rank mod p uses the
-same sparse kernel at every size.
+runs on sparse rows, pivoting on the shortest remaining row in its column
+held by the fewest rows; rank mod p uses the same sparse kernel at every
+size.
 The empty 0x0 minor is 1, which makes the unknot's determinant 1 without a
 special case. Split diagrams (free loops next to other content, or a component
 that never passes under) have determinant 0.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from ._record import _Record
 from .diagram import LinkDiagram, PDError, _UnionFind, is_planar
@@ -109,15 +112,17 @@ def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
 
 
 # Largest dimension that bareiss_determinant eliminates densely. Timed on
-# coloring minors, the sparse kernel costs 2.3x the dense loop at 8 rows and
-# 1.07x at 13 and 14 (its index and pivot search outweigh the few updates it
-# saves), 0.87x at 15 and 0.47x at 20.
-_DENSE_MAX = 14
+# 120 coloring minors of each size (rational closures and knot sums, min of
+# 25 runs, three repeats on a shared 2-vCPU host), the sparse kernel costs
+# 1.4-1.6x the dense loop at 8 rows and 1.1-1.4x at 10 (its index and heap
+# outweigh the few updates it saves), 0.91-1.03x at 11, 0.73-0.83x at 14 and
+# 0.54-0.61x at 16.
+_DENSE_MAX = 10
 
 
 def bareiss_determinant(matrix) -> int:
     """Exact signed integer determinant by Bareiss fraction-free elimination:
-    dense up to _DENSE_MAX rows, on sparse rows with least-fill pivots above.
+    dense up to _DENSE_MAX rows, on sparse rows (see _SparseRows) above.
 
     Rows are dense sequences or {col: value} dicts; neither is changed.
     """
@@ -159,12 +164,14 @@ def _dense_determinant(matrix) -> int:
 
 
 class _SparseRows:
-    """Matrix rows as {col: value} dicts with a column -> rows index.
+    """Matrix rows as {col: value} dicts, a column -> rows index, and a heap
+    of (row length, row) entries.
 
-    Only the rows not yet used as pivots are kept. `pivot` picks an entry of
-    least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), the fill
-    that eliminating it can create; the caller does the arithmetic and hands
-    each updated row back through `put`.
+    Only the rows not yet used as pivots are kept. `pivot` picks the shortest
+    live row and, within it, the column held by the fewest rows; the caller
+    does the arithmetic and hands each updated row back through `put`. The
+    heap is updated lazily: `put` pushes an entry when a row's length
+    changes, and `pivot` drops entries that no longer match a live row.
     """
 
     def __init__(self, rows: list[dict[int, int]]) -> None:
@@ -175,71 +182,28 @@ class _SparseRows:
                 self.rows[i] = row
                 for j in row:
                     self.cols.setdefault(j, set()).add(i)
-        # row_len[k] / col_len[k]: the rows / columns with k nonzeros. Fill
-        # only enters columns of the pivot row, which are in the index, so
-        # no count can outgrow the lists.
-        size = max(len(self.rows), len(self.cols)) + 1
-        self.row_len: list[set[int]] = [set() for _ in range(size)]
-        self.col_len: list[set[int]] = [set() for _ in range(size)]
-        for i, row in self.rows.items():
-            self.row_len[len(row)].add(i)
-        for j, rs in self.cols.items():
-            self.col_len[len(rs)].add(j)
-
-    def _join(self, j: int, i: int) -> None:
-        rs = self.cols[j]
-        self.col_len[len(rs)].discard(j)
-        rs.add(i)
-        self.col_len[len(rs)].add(j)
-
-    def _leave(self, j: int, i: int) -> None:
-        rs = self.cols[j]
-        self.col_len[len(rs)].discard(j)
-        rs.discard(i)
-        self.col_len[len(rs)].add(j)
+        self.heap = [(len(row), i) for i, row in self.rows.items()]
+        heapify(self.heap)
 
     def pivot(self) -> tuple[int, int] | None:
-        """(row, col) of a least-cost nonzero, or None if none is left.
-
-        Columns and rows are searched by increasing count k; once every
-        column and row with fewer than k nonzeros has been seen, no unseen
-        entry costs less than (k - 1)^2.
-        """
-        rows, cols = self.rows, self.cols
-        best, best_cost = None, None
-        for k in range(1, len(self.row_len)):
-            floor = (k - 1) * (k - 1)
-            if best is not None and best_cost <= floor:
-                break
-            for j in self.col_len[k]:
-                for i in cols[j]:
-                    cost = (len(rows[i]) - 1) * (k - 1)
-                    if best is None or cost < best_cost:
-                        best, best_cost = (i, j), cost
-                        if cost <= floor:
-                            return best
-            for i in self.row_len[k]:
-                for j in rows[i]:
-                    cost = (k - 1) * (len(cols[j]) - 1)
-                    if best is None or cost < best_cost:
-                        best, best_cost = (i, j), cost
-                        if cost <= floor:
-                            return best
-        return best
+        """(row, col) of the pivot, or None if no row is left."""
+        rows, heap = self.rows, self.heap
+        while heap:
+            k, i = heap[0]
+            row = rows.get(i)
+            if row is not None and len(row) == k:
+                return i, min(row, key=lambda j: len(self.cols[j]))
+            heappop(heap)
+        return None
 
     def take(self, r: int, c: int) -> tuple[dict[int, int], set[int]]:
         """Retire pivot row r; return it and the other rows with column c."""
-        rows = self.rows
-        prow = rows.pop(r)
-        self.row_len[len(prow)].discard(r)
+        prow = self.rows.pop(r)
         others = self.cols.pop(c)
-        self.col_len[len(others)].discard(c)
         others.discard(r)
         for j in prow:
             if j != c:
-                self._leave(j, r)
-        for i in others:
-            self.row_len[len(rows[i])].discard(i)
+                self.cols[j].discard(r)
         return prow, others
 
     def put(self, i: int, new: dict[int, int]) -> None:
@@ -248,19 +212,20 @@ class _SparseRows:
         cols = self.cols
         for j in old:
             if j not in new and j in cols:  # the pivot column is gone already
-                self._leave(j, i)
+                cols[j].discard(i)
         for j in new:
             if j not in old:
-                self._join(j, i)
+                cols[j].add(i)
         if new:
             self.rows[i] = new
-            self.row_len[len(new)].add(i)
+            if len(new) != len(old):
+                heappush(self.heap, (len(new), i))
         else:
             del self.rows[i]
 
 
 def _sparse_determinant(matrix) -> int:
-    """Signed determinant by fraction-free Bareiss with least-fill pivots.
+    """Signed determinant by fraction-free Bareiss on sparse rows.
 
     Step t pivots on P_t and leaves every entry a minor of the input. A row
     that step t does not touch would only be scaled by P_t / P_(t-1), so it
@@ -386,9 +351,9 @@ def _is_prime(n: int) -> bool:
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank over the field with p elements (p prime), by sparse elimination
-    with least-fill pivots. Rows are dense sequences or {col: value} dicts;
-    neither is changed."""
+    """Rank over the field with p elements (p prime), by elimination on
+    sparse rows (see _SparseRows). Rows are dense sequences or {col: value}
+    dicts; neither is changed."""
     el = _SparseRows([{j: v % p for j, v in _items(row) if v % p} for row in matrix])
     rows = el.rows
     rank = 0

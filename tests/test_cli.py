@@ -190,6 +190,14 @@ class TestCertifyVerify:
         data = json.loads(out)
         assert data["kind"] == "unoriented"
 
+    @pytest.mark.parametrize("orient", [[], ["--oriented", "parallel"]])
+    def test_certify_stdout_is_the_saved_file(self, capsys, tmp_path, orient):
+        path = tmp_path / "c.json"
+        _, out, _ = invoke(capsys, "certify", "-21/55", *orient)
+        invoke(capsys, "certify", "-21/55", *orient, "-o", str(path))
+        assert out == path.read_text(encoding="utf-8")
+        assert out.startswith("{\n  ") and out.endswith("}\n")
+
     def test_tampered_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         invoke(capsys, "certify", "2/5", "-o", str(path))

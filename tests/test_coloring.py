@@ -7,6 +7,7 @@ from tanglekit import coloring, skein
 from tanglekit.coloring import (
     _dense_determinant,
     _sparse_determinant,
+    _SparseRows,
     bareiss_determinant,
     coloring_matrix,
     determinant,
@@ -230,6 +231,71 @@ class TestSparseDeterminant:
         d = splice(figure8_template(), 0, f)
         assert len(d.crossings) == 8 * m
         assert determinant(d) == abs(f.q)
+        # the rank kernel at the same sizes
+        for p in (3, 5, 7):
+            assert n_colorable(d, p) == (determinant(d) % p == 0)
+
+
+class TestPivotRule:
+    """`_SparseRows.pivot`: the shortest live row, and within it the column
+    held by the fewest rows."""
+
+    @staticmethod
+    def check_pivot(el, pick):
+        r, c = pick
+        assert len(el.rows[r]) == min(len(row) for row in el.rows.values())
+        assert len(el.cols[c]) == min(len(el.cols[j]) for j in el.rows[r])
+
+    def test_hand_built(self):
+        # row 1 is the shortest; of its columns, 0 is in 2 rows and 1 in 3
+        el = _SparseRows([{0: 1, 1: 1, 2: 1}, {1: 1, 0: 1}, {1: 1, 2: 1, 3: 1}])
+        assert el.pivot() == (1, 0)
+
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_every_pivot_of_both_eliminations(self, monkeypatch, p):
+        pivot = _SparseRows.pivot
+
+        def checked(el):
+            pick = pivot(el)
+            if pick is None:
+                assert not el.rows
+            else:
+                self.check_pivot(el, pick)
+            return pick
+
+        monkeypatch.setattr(_SparseRows, "pivot", checked)
+        rng = random.Random(p)
+        for shape in (coloring_shaped, sparse_general):
+            for n in (5, 17, 40):
+                m = shape(rng, n)
+                assert rank_mod_p(m, p) == dense_rank_mod_p(m, p)
+                assert _sparse_determinant(m) == _dense_determinant(m)
+
+    def test_lengthened_row_is_not_chosen_by_its_stale_entry(self):
+        el = _SparseRows([{0: 1, 1: 1, 2: 1}, {0: 1, 3: 1}, {4: 1, 5: 1}])
+        assert el.take(0, 0)[1] == {1}
+        el.put(1, {1: 1, 2: 1, 3: 1})  # row 1: 2 entries -> 3
+        r, c = el.pivot()
+        assert (r, c) in ((2, 4), (2, 5))
+
+    def test_emptied_row_never_comes_back(self):
+        el = _SparseRows([{0: 1}, {0: 2}, {1: 1, 2: 1}])
+        assert el.pivot() == (0, 0)
+        el.take(0, 0)
+        el.put(1, {})  # row 1 eliminated to nothing
+        assert 1 not in el.rows
+        r, c = el.pivot()
+        assert r == 2
+        el.take(r, c)
+        assert el.pivot() is None
+
+    def test_none_once_no_rows_are_left(self):
+        assert _SparseRows([]).pivot() is None
+        assert _SparseRows([{}, {}]).pivot() is None
+        el = _SparseRows([{0: 1}])
+        el.take(*el.pivot())
+        assert el.pivot() is None
+        assert el.pivot() is None
 
 
 class TestRankModP:

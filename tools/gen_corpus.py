@@ -37,14 +37,6 @@ from tanglekit.tangle import TangleFraction
 OUT = Path(__file__).resolve().parent.parent / "src" / "tanglekit" / "data" / "corpus.txt"
 
 
-def compact(crossings: list[tuple[int, int, int, int]], loops: int = 0) -> LinkDiagram:
-    seen: dict[int, int] = {}
-    rows = []
-    for t in crossings:
-        rows.append(tuple(seen.setdefault(e, len(seen) + 1) for e in t))
-    return LinkDiagram(tuple(rows), (), loops)
-
-
 def braid_closure(strands: int, word: list[int]) -> LinkDiagram:
     """Trace closure of a braid word; letter +i crosses strand i over-under
     its right neighbour one way, -i the other."""
@@ -77,8 +69,8 @@ def braid_closure(strands: int, word: list[int]) -> LinkDiagram:
             loops += 1
         else:
             parent[rs] = re
-    merged = [tuple(find(e) for e in t) for t in crossings]
-    return compact(merged, loops)
+    merged = tuple(tuple(find(e) for e in t) for t in crossings)
+    return LinkDiagram(merged, (), loops)
 
 
 def conway_fraction(terms: tuple[int, ...]) -> Fraction:
