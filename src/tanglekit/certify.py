@@ -568,10 +568,46 @@ def _field(obj: dict, key: str, typ: type, where: str):
 
 
 def certificate_text(cert: Certificate) -> str:
-    """The certificate as file text: its JSON form, indented by 2, keys
-    sorted, with a trailing newline. `save_certificate` writes it and the
-    `certify` verb prints it."""
-    return json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\n"
+    """The certificate as file text: the bytes of
+    `json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\\n"`,
+    written here from the node columns, because with an indent the `json`
+    module leaves its C encoder for a pure-Python one. `save_certificate`
+    writes it and the `certify` verb prints it.
+
+    Fractions and node indices are integers, so only names (kind, base
+    names, orientation tags, the ambient's PD) go through `json.dumps`,
+    each distinct one once.
+    """
+    from .diagram import pd_string
+
+    quoted: dict[str, str] = {}
+
+    def quote(name: str) -> str:
+        text = quoted.get(name)
+        if text is None:
+            text = quoted[name] = json.dumps(name)
+        return text
+
+    nodes = []
+    for p, q, tag, just in zip(cert.ps, cert.qs, cert.tags, cert.justs):
+        if just[0] == "base":
+            body = f'"base": {quote(just[1])}'
+        else:
+            body = f'"triple": [\n          {just[1]},\n          {just[2]}\n        ]'
+            if just[3] is not None:
+                body = f'"resolution": {just[3]},\n        {body}'
+        orient = "" if tag is None else f',\n      "orient": {quote(tag)}'
+        nodes.append(
+            f'    {{\n      "frac": "{p}/{q}",\n      "just": {{\n        {body}\n'
+            f"      }}{orient}\n    }}"
+        )
+    a, b = cert.ambient.coeffs[0]
+    listing = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
+    return (
+        f'{{\n  "ambient": {{\n    "coeffs": [\n      {a},\n      {b}\n    ],\n'
+        f'    "pd": {quote(pd_string(cert.ambient.diagram))}\n  }},\n'
+        f'  "kind": {quote(cert.kind)},\n  "nodes": {listing}\n}}\n'
+    )
 
 
 def save_certificate(cert: Certificate, path: str) -> None:

@@ -51,16 +51,19 @@ class ColoringMatrix(_Record):
         return len(self.entries[0]) if self.entries else 0
 
 
-def _fox_arcs(d: LinkDiagram) -> tuple[dict[int, int], int]:
-    """Map each edge label to its arc index; arcs merge over-strand passages."""
+def _fox_arcs(d: LinkDiagram) -> tuple[list[int], int]:
+    """Each edge label's arc index, as a list indexed by label (index 0 is
+    unused), and the number of arcs. The union-find merges the two
+    over-strand edges of every crossing in one call, and its roots are read
+    in one more; arcs are numbered in order of their smallest label."""
     uf = _UnionFind()
-    for _, b, _, dd in d.crossings:
-        uf.union(b, dd)
-    arc_index: dict[int, int] = {}
-    arc_of: dict[int, int] = {}
+    uf.merge([(b, dd) for _, b, _, dd in d.crossings])
+    root = uf.roots()
+    index: dict[int, int] = {}
+    arc_of = [0]
     for e in range(1, d.arc_count + 1):
-        arc_of[e] = arc_index.setdefault(uf.find(e), len(arc_index))
-    return arc_of, len(arc_index)
+        arc_of.append(index.setdefault(root.get(e, e), len(index)))
+    return arc_of, len(index)
 
 
 Row = dict[int, int]  # {column: nonzero coefficient}

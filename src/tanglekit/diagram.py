@@ -6,14 +6,17 @@ over-strand joins b and d. A slot T[a,b,c,d] lists the four boundary edges of
 a deleted tangle disk: a top-left, b top-right, c bottom-left, d bottom-right.
 `U` is a crossing-free unknot loop.
 
-One label rule holds for every diagram, and the `LinkDiagram` constructor is
-the only place that applies it, so `LinkDiagram(...)` accepts exactly what
-`parse_pd` accepts. Every tuple has four entries, and every edge label is a
-positive integer that occurs exactly twice across all crossing and slot
-tuples. Labels are renumbered 1..n in order of first appearance (crossings,
-then slots) unless they already are 1..n. A crossing tuple and its rotation by
-two positions name the same unoriented crossing (the under-strand read from
-the other end), and the lexicographically smaller is stored.
+One label rule holds for every diagram. Every tuple has four entries, and
+every edge label is a positive integer that occurs exactly twice across all
+crossing and slot tuples. Labels are renumbered 1..n in order of first
+appearance (crossings, then slots) unless they already are 1..n. A crossing
+tuple and its rotation by two positions name the same unoriented crossing (the
+under-strand read from the other end), and the lexicographically smaller is
+stored. One helper, `_label_rule`, does the renumbering and the rotation. The
+`LinkDiagram` constructor checks caller input before calling it, so
+`LinkDiagram(...)` accepts exactly what `parse_pd` accepts; surgery, whose
+output is valid by construction, calls it on its own result and then checks
+in one pass (`_check_twice`) that the labels are 1..n, each twice.
 
 Orientation is one direction flag per traced unit (open strands first, then
 closed components), relative to the canonical traversal; per-edge directions
@@ -25,7 +28,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Collection, Iterable
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from ._record import _Record
 
@@ -46,6 +49,7 @@ __all__ = [
 ]
 
 Occ = tuple[int, int, int]  # (kind, index, position); kind 0 = crossing, 1 = slot
+Quad = tuple[int, int, int, int]  # a crossing or slot tuple
 
 
 class PDError(ValueError):
@@ -60,36 +64,83 @@ def _site_index(site: "CrossingSite | int") -> int:
     return site.index if isinstance(site, CrossingSite) else int(site)
 
 
-def _renumbering(labels: Collection[int]) -> dict[int, int] | None:
-    """The label rule's renumbering of distinct positive labels given in
-    order of first appearance: None when they already are 1..n."""
-    if max(labels, default=0) == len(labels):
-        return None
-    return {e: i for i, e in enumerate(labels, 1)}
+def _label_rule(
+    flat: list[int], labels: Collection[int], k: int
+) -> tuple[list[int], list[Quad], tuple[Quad, ...]]:
+    """The label rule's renumbering and rotation by two, in one step, on
+    labels already known to be positive and to occur twice each.
+
+    `flat` lists the labels of k crossings and then of the slots, four per
+    tuple, and `labels` its distinct labels in order of first appearance.
+    Returns the final labels in the same layout, the same as 4-tuples (the
+    crossings as renumbered, before rotation, then the slots), and the stored
+    crossings.
+    """
+    if max(labels, default=0) != len(labels):
+        number = dict(zip(labels, range(1, len(labels) + 1)))
+        flat = list(map(number.__getitem__, flat))
+    quads = iter(flat)
+    tuples = list(zip(quads, quads, quads, quads))
+    # the smaller of (a, b, c, d) and (c, d, a, b)
+    crossings = tuple([t if t[:2] <= t[2:] else t[2:] + t[:2] for t in tuples[:k]])
+    return flat, tuples, crossings
+
+
+def _check_twice(flat: list[int]) -> None:
+    """Raise PDError unless the labels are 1..n, each exactly twice: read in
+    sorted order, both members of every pair equal their pair's number."""
+    s = sorted(flat)
+    if not s[::2] == s[1::2] == list(range(1, len(s) // 2 + 1)):
+        raise PDError(f"surgery broke the label rule: labels {s}")
 
 
 class _UnionFind:
-    """Disjoint sets of edge labels; a label never merged is its own root."""
+    """Disjoint sets of edge labels; a label never merged is its own root.
+
+    Pairs are merged, and roots read, in bulk, one call each: every caller
+    merges a batch of pairs and then reads many labels. Both walks halve
+    the paths they follow.
+    """
 
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
 
-    def find(self, x: int) -> int:
+    def merge(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Merge each pair, the first's set under the second's root; returns
+        how many pairs were merged already (closure events)."""
         p = self.parent
-        while x in p:
-            up = p[x]
-            if up in p:
-                up = p[x] = p[up]
-            x = up
-        return x
+        closed = 0
+        for x, y in pairs:
+            while x in p:
+                up = p[x]
+                if up in p:
+                    up = p[x] = p[up]
+                x = up
+            while y in p:
+                up = p[y]
+                if up in p:
+                    up = p[y] = p[up]
+                y = up
+            if x == y:
+                closed += 1
+            else:
+                p[x] = y
+        return closed
 
-    def union(self, x: int, y: int) -> bool:
-        """Merge; returns False when already merged (a closure event)."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
+    def roots(self) -> dict[int, int]:
+        """Every label merged into another, mapped to its root; any label
+        e's root is `roots().get(e, e)`."""
+        p = self.parent
+        out: dict[int, int] = {}
+        for x in p:
+            r = x
+            while r in p:
+                up = p[r]
+                if up in p:
+                    up = p[r] = p[up]
+                r = up
+            out[x] = r
+        return out
 
 
 class LinkDiagram(_Record):
@@ -103,8 +154,9 @@ class LinkDiagram(_Record):
         loops: int = 0,
         orientation: tuple[int, ...] | None = None,
     ) -> None:
-        """Check, renumber and canonicalize the labels (the module's label
-        rule) in one pass; errors name the caller's labels."""
+        """Check the caller's labels, in one counting pass whose errors name
+        them, then renumber and rotate them by the label rule
+        (`_label_rule`)."""
         crossings = [tuple(t) for t in crossings]
         slots = [tuple(t) for t in slots]
         if loops < 0:
@@ -124,12 +176,10 @@ class LinkDiagram(_Record):
             if any(e in t for t in slots for e in wrong):
                 raise PDError(f"slot endpoint reuse: labels {wrong} occur != 2 times")
             raise PDError(f"edge labels must occur exactly twice: {wrong}")
-        new = _renumbering(counts)
-        if new is not None:
-            crossings = [tuple(new[e] for e in t) for t in crossings]
-            slots = [tuple(new[e] for e in t) for t in slots]
-        crossings = tuple(min(t, (t[2], t[3], t[0], t[1])) for t in crossings)
-        _Record.__init__(self, crossings, tuple(slots), loops, orientation)
+        k = len(crossings)
+        flat = list(chain.from_iterable(crossings + slots))
+        _, tuples, crossings = _label_rule(flat, counts, k)
+        _Record.__init__(self, crossings, tuple(tuples[k:]), loops, orientation)
         if orientation is not None:
             self._check_orientation()
 
@@ -347,11 +397,11 @@ def is_planar(d: LinkDiagram) -> bool:
         tuple(s[i] for i in _SLOT_CYCLE) for s in d.slots
     ]
     ends: dict[int, list[tuple[int, int]]] = {}
-    pieces = _UnionFind()
     for v, rot in enumerate(rotations):
         for i, e in enumerate(rot):
             ends.setdefault(e, []).append((v, i))
-            pieces.union(rot[0], e)
+    pieces = _UnionFind()
+    pieces.merge((rot[0], e) for rot in rotations for e in rot[1:])
 
     faces = 0
     seen: set[tuple[int, int]] = set()
@@ -366,50 +416,58 @@ def is_planar(d: LinkDiagram) -> bool:
             w, j = b if a == dart else a
             dart = (w, (j + 1) % 4)
 
-    n_pieces = len({pieces.find(e) for e in ends})
+    root = pieces.roots()
+    n_pieces = len({root.get(e, e) for e in ends})
     return len(rotations) - len(ends) + faces == 2 * n_pieces
 
 
 def _surgery(
     d: LinkDiagram,
-    crossings: tuple[tuple[int, int, int, int], ...],
-    slots: tuple[tuple[int, int, int, int], ...],
+    crossings: Collection[Quad],
+    slots: Collection[Quad],
     joins: Iterable[tuple[int, int]],
     where: Callable[[Occ], Occ | None] | None,
 ) -> LinkDiagram:
     """Build `crossings` and `slots` with each edge-label pair in `joins`
     identified; a join that closes a cycle leaves a free loop.
 
+    One map takes each label to its final one: to the root of its joins'
+    union-find, then through the label rule (`_label_rule`, shared with the
+    constructor, which also rotates the crossings). The result does not go
+    through the constructor; `_check_twice` checks its labels in one pass.
+
     For an oriented `d`, `where(occ)` places each old occurrence in the new
     tuples (positions before canonical rotation), or gives None where the
     surgery removed it. Each old edge hands its head, where it survives, to
-    its merged label: a label that is not a free loop keeps exactly one.
+    the final label at that position: a label that is not a free loop keeps
+    exactly one.
     """
     uf = _UnionFind()
-    closed = sum(not uf.union(x, y) for x, y in joins)
-    alias = {e: uf.find(e) for e in uf.parent}  # only the merged labels
+    closed = uf.merge(joins)
+    alias = uf.roots()
+    k = len(crossings)
+    flat = list(chain.from_iterable(crossings))
+    flat += chain.from_iterable(slots)
     if alias:
-        crossings = [tuple(alias.get(e, e) for e in t) for t in crossings]
-        slots = [tuple(alias.get(e, e) for e in t) for t in slots]
-    new = LinkDiagram(crossings, slots, d.loops + closed)
+        flat = list(map(alias.get, flat, flat))
+    flat, tuples, crossings = _label_rule(flat, dict.fromkeys(flat), k)
+    _check_twice(flat)
+    new = object.__new__(LinkDiagram)
+    vars(new).update(
+        crossings=crossings, slots=tuple(tuples[k:]),
+        loops=d.loops + closed, orientation=None,
+    )
     if d.orientation is None:
         return new
-    # transport needs the constructor's renumbering and its rotations by two
-    labels = dict.fromkeys(e for t in (*crossings, *slots) for e in t)
-    renumber = _renumbering(labels) or {}
-    rotated = [
-        new.crossings[i] != tuple(renumber.get(e, e) for e in t)
-        for i, t in enumerate(crossings)
-    ]
     heads: dict[int, Occ] = {}
-    for e, (_, head) in d.edge_directions().items():
+    for _, head in d.edge_directions().values():
         o = where(head)
         if o is not None:
             kind, i, p = o
-            if kind == 0 and rotated[i]:
+            e = tuples[kind * k + i][p]
+            if kind == 0 and crossings[i] != tuples[i]:  # stored rotated by two
                 o = (0, i, (p + 2) % 4)
-            e = alias.get(e, e)
-            heads[renumber.get(e, e)] = o
+            heads[e] = o
     return new.with_orientation(_inherit_orientation(new, heads))
 
 
@@ -540,7 +598,7 @@ def fill_slot(
     if not 0 <= slot_index < len(d.slots):
         raise PDError(f"slot index {slot_index} out of range")
     shift = d.arc_count
-    add = tuple(tuple(e + shift for e in t) for t in crossings)
+    add = [(a + shift, b + shift, c + shift, e + shift) for a, b, c, e in crossings]
     glue = [s + shift for s in stubs]
     slot = d.slots[slot_index]
     keep_slots = d.slots[:slot_index] + d.slots[slot_index + 1 :]
@@ -564,4 +622,4 @@ def fill_slot(
                 return o
             return inner.get(glue[p]) if idx == slot_index else (1, idx - 1, p)
 
-    return _surgery(d, d.crossings + add, keep_slots, zip(slot, glue), where)
+    return _surgery(d, [*d.crossings, *add], keep_slots, zip(slot, glue), where)

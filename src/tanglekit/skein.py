@@ -221,6 +221,11 @@ def oriented_triple(pair: FareyPair, t: TangleTemplate, slot: int) -> SkeinTripl
 # -- determinant model ---------------------------------------------------------
 
 
+# The three probes of a fit, built once: a scan fits eight templates.
+_ZERO = TangleFraction(0, 1)
+_INFINITY = TangleFraction(1, 0)
+_ONE = TangleFraction(1, 1)
+
 # Fractions a fitted model is checked against after the three probes; the
 # negative ones catch diagrams whose model fails only at negative insertions.
 _FIT_VALIDATION = (
@@ -248,9 +253,9 @@ def fit_coefficients(t: TangleTemplate, slot: int = 0) -> tuple[int, int]:
     def det_at(f: TangleFraction) -> int:
         return determinant(splice(t, slot, f))
 
-    det_a = det_at(TangleFraction(0, 1))
-    det_b = det_at(TangleFraction(1, 0))
-    det_c = det_at(TangleFraction(1, 1))
+    det_a = det_at(_ZERO)
+    det_b = det_at(_INFINITY)
+    det_c = det_at(_ONE)
     if abs(det_b - det_a) == det_c:
         a, b = det_a, det_b
     elif det_a + det_b == det_c:
@@ -365,8 +370,8 @@ def two_slot_scan(
     def fit_at(x: TangleFraction) -> tuple[int, int]:
         return fit_coefficients(splice(t, slot1, x))
 
-    a_inf, b_inf = fit_at(TangleFraction(1, 0))
-    a_zero, b_zero = fit_at(TangleFraction(0, 1))
+    a_inf, b_inf = fit_at(_INFINITY)
+    a_zero, b_zero = fit_at(_ZERO)
 
     def form(s: int, p: int, q: int) -> tuple[int, int]:
         return (p * a_inf + s * q * a_zero, p * b_inf + s * q * b_zero)
@@ -374,7 +379,7 @@ def two_slot_scan(
     def agrees(ab: tuple[int, int], fit: tuple[int, int]) -> bool:
         return ab == fit or ab == (-fit[0], -fit[1])
 
-    l_one = fit_at(TangleFraction(1, 1))
+    l_one = fit_at(_ONE)
     signs = [s for s in (1, -1) if agrees(form(s, 1, 1), l_one)]
     if not signs:
         raise TemplateError(

@@ -20,6 +20,7 @@ from tanglekit.certify import (
     OrientedTarget,
     Verdict,
     certificate_from_json,
+    certificate_text,
     certificate_to_json,
     connected_sum_certificate,
     load_certificate,
@@ -601,6 +602,65 @@ def test_every_small_target_has_unchanged_bytes_or_refusal():
     assert digest.hexdigest() == (
         "ca05974b72a8df1c5dc10d5e8195759cf4677c06183c7432fc13485c091483c4"
     )
+
+
+def indented_json(cert) -> str:
+    """The file text as the `json` module writes it."""
+    return json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\n"
+
+
+def golden_certificates():
+    for ambient, tag, target in sorted(GOLDEN, key=str) + sorted(SIGNED_GOLDEN):
+        if tag is None:
+            yield span_certificate(F(target), TEMPLATES[ambient])
+        else:
+            yield oriented_span_certificate(
+                OrientedTarget(F(target), tag), TEMPLATES[ambient]
+            )
+
+
+class TestCertificateText:
+    """`certificate_text` writes the indented JSON itself; its bytes are the
+    `json` module's."""
+
+    def test_every_golden_certificate(self):
+        certs = list(golden_certificates())
+        assert len(certs) == len(GOLDEN) + len(SIGNED_GOLDEN)
+        for c in certs:
+            assert certificate_text(c) == indented_json(c)
+
+    def test_oriented_certificate_with_resolutions(self):
+        c = oriented_span_certificate(OrientedTarget(F("-34/89"), ANTIPARALLEL))
+        assert any(j[0] == "triple" and j[3] is not None for j in c.justs)
+        assert certificate_text(c) == indented_json(c)
+
+    def test_empty_node_list(self):
+        data = certificate_to_json(span_certificate(F("2/5")))
+        data["nodes"] = []
+        c = certificate_from_json(data)
+        assert '"nodes": []\n' in certificate_text(c)
+        assert certificate_text(c) == indented_json(c)
+
+    def test_loaded_names_that_need_escaping(self, tmp_path):
+        data = certificate_to_json(
+            oriented_span_certificate(OrientedTarget(F("21/55"), PARALLEL))
+        )
+        data["kind"] = "ori\u00e9nted"
+        data["nodes"][0]["just"]["base"] = 'un"kn\\ot\n\u2603'
+        data["nodes"][1]["orient"] = "par\tallel/\u00e9"
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        c = load_certificate(str(path))
+        assert c.justs[0][1] == 'un"kn\\ot\n\u2603'
+        text = certificate_text(c)
+        assert text == indented_json(c)
+        assert json.loads(text) == data
+
+    def test_save_writes_the_text(self, tmp_path):
+        c = span_certificate(F("-21/55"), TEMPLATES["trefoil_sum"])
+        path = tmp_path / "c.json"
+        save_certificate(c, str(path))
+        assert path.read_text(encoding="utf-8") == indented_json(c)
 
 
 def _differential_targets():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from tanglekit.coloring import ColoringMatrix
 from tanglekit.corpus import CorpusEntry
 from tanglekit.diagram import (
     CrossingSite,
+    _UnionFind,
     LinkDiagram,
     PDError,
     components,
@@ -330,6 +332,65 @@ class TestFillSlot:
         out = fill_slot(d, 0, ((1, 2, 4, 3),), (1, 3, 2, 4))
         assert len(out.crossings) == 1
         assert components(out) == 1
+
+
+class TestUnionFind:
+    def test_bulk_merge_and_roots_match_one_pair_at_a_time(self):
+        """merge() puts the first set under the second's root and counts
+        pairs already merged; roots() gives every merged label its root.
+        The oracle links roots one pair at a time without compressing."""
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            pairs = [
+                (rng.randint(1, n), rng.randint(1, n))
+                for _ in range(rng.randint(0, 40))
+            ]
+            parent: dict[int, int] = {}
+
+            def find(x):
+                while x in parent:
+                    x = parent[x]
+                return x
+
+            closed = 0
+            for x, y in pairs:
+                rx, ry = find(x), find(y)
+                if rx == ry:
+                    closed += 1
+                else:
+                    parent[rx] = ry
+            uf = _UnionFind()
+            assert uf.merge(pairs) == closed
+            root = uf.roots()
+            assert set(root) == set(parent)
+            assert [root.get(e, e) for e in range(1, n + 1)] == [
+                find(e) for e in range(1, n + 1)
+            ]
+
+    def test_long_chains_are_read_without_a_quadratic_walk(self):
+        """Merging and reading a chain of n labels looks up O(n) parents
+        (about 6n here); a walk that halved no path would need about n**2/2."""
+
+        class Counting(dict):
+            lookups = 0
+
+            def __contains__(self, key):
+                Counting.lookups += 1
+                return dict.__contains__(self, key)
+
+        n = 2000
+        for pairs in (
+            [(i, i + 1) for i in range(1, n)],
+            [(i + 1, i) for i in range(1, n)],
+            [(1, i) for i in range(2, n + 1)],
+        ):
+            uf = _UnionFind()
+            uf.parent = Counting()
+            Counting.lookups = 0
+            assert uf.merge(pairs) == 0
+            assert len(set(uf.roots().values())) == 1
+            assert Counting.lookups < 10 * n
 
 
 def _fig8() -> TangleTemplate:

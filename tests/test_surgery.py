@@ -8,19 +8,23 @@ orientation-transport path.
 """
 
 import hashlib
+import random
 from functools import cached_property
 from itertools import product
 
 import pytest
+from test_skein import random_planar_two_slot
 
 from tanglekit.corpus import bundled_templates, load_corpus
 from tanglekit.diagram import (
     LinkDiagram,
     PDError,
+    _surgery,
     components,
     crossing_change,
     fill_slot,
     oriented_resolve,
+    parse_pd,
     pd_string,
     resolve,
 )
@@ -63,7 +67,7 @@ def crossing_change_outputs():
         for flags in flag_vectors(d):
             od = d.with_orientation(flags)
             for s in range(len(d.crossings)):
-                yield pd_string(crossing_change(od, s))
+                yield crossing_change(od, s)
 
 
 def oriented_resolve_outputs():
@@ -71,7 +75,7 @@ def oriented_resolve_outputs():
         for flags in flag_vectors(d):
             od = d.with_orientation(flags)
             for s in range(len(d.crossings)):
-                yield pd_string(oriented_resolve(od, s))
+                yield oriented_resolve(od, s)
 
 
 def oriented_fill_outputs():
@@ -80,25 +84,25 @@ def oriented_fill_outputs():
         if not orientation_compatible(t, slot, f):
             continue
         out = fill_slot(t.diagram, slot, *compiled(f))
-        yield pd_string(out)
+        yield out
         if out.slots:
             rest = TangleTemplate(out)
             for g in second:
                 if orientation_compatible(rest, 0, g):
-                    yield pd_string(fill_slot(out, 0, *compiled(g)))
+                    yield fill_slot(out, 0, *compiled(g))
 
 
 def unoriented_outputs():
     for d in CORPUS:
         for s in range(len(d.crossings)):
-            yield pd_string(crossing_change(d, s))
+            yield crossing_change(d, s)
             for which in (0, 1):
-                yield pd_string(resolve(d, s, which))
+                yield resolve(d, s, which)
     for name in sorted(TEMPLATES):
         d = TEMPLATES[name].diagram
         for slot in range(len(d.slots)):
             for f in reduced_fractions(4):
-                yield pd_string(fill_slot(d, slot, *compiled(f)))
+                yield fill_slot(d, slot, *compiled(f))
 
 
 GOLDEN = {
@@ -111,8 +115,100 @@ GOLDEN = {
 
 @pytest.mark.parametrize("outputs", GOLDEN, ids=lambda g: g.__name__)
 def test_surgery_outputs_are_unchanged(outputs):
-    text = "\n".join(outputs())
+    text = "\n".join(map(pd_string, outputs()))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[outputs]
+
+
+def rebuilt(d):
+    """The diagram the constructor builds from the fields of d."""
+    return LinkDiagram(d.crossings, d.slots, d.loops, d.orientation)
+
+
+def random_surgery_outputs(rng, count):
+    """Outputs of seeded random surgery: a random planar two-slot diagram,
+    oriented half the time, has both slots filled with random fractions,
+    then one crossing changed and one smoothed."""
+    fracs = reduced_fractions(5)
+    for _ in range(count):
+        d = random_planar_two_slot(rng, rng.randint(0, 4))
+        if rng.random() < 0.5:
+            d = d.with_orientation(tuple(rng.choice((1, -1)) for _ in d._units))
+        try:
+            one = fill_slot(d, rng.randrange(2), *compiled(rng.choice(fracs)))
+            yield one
+            out = fill_slot(one, 0, *compiled(rng.choice(fracs)))
+        except PDError:
+            continue  # a fill whose strands fight the orientation
+        yield out
+        if out.crossings:
+            i = rng.randrange(len(out.crossings))
+            yield crossing_change(out, i)
+            if out.is_oriented:
+                yield oriented_resolve(out, i)
+            else:
+                yield resolve(out, i, rng.randrange(2))
+
+
+class TestOutputsAgreeWithTheConstructor:
+    """Surgery builds its result with one label map and an output check, not
+    the constructor; the constructor, given that result, returns it as is."""
+
+    @pytest.mark.parametrize("outputs", GOLDEN, ids=lambda g: g.__name__)
+    def test_golden_outputs(self, outputs):
+        count = 0
+        for out in outputs():
+            assert rebuilt(out) == out, pd_string(out)
+            count += 1
+        assert count >= 100
+
+    def test_seeded_random_surgery(self):
+        outs = list(random_surgery_outputs(random.Random(20261), 300))
+        assert len(outs) >= 600
+        assert sum(o.is_oriented for o in outs) >= 150
+        assert sum(o.loops > 0 for o in outs) >= 10
+        for out in outs:
+            assert rebuilt(out) == out, pd_string(out)
+
+    def test_surgery_does_not_run_the_constructor(self, monkeypatch):
+        d = TEMPLATES["trefoil_sum"].diagram
+        od = figure8_template("parallel").diagram
+        f, g = compiled(TangleFraction(2, 5)), compiled(TangleFraction(3, 8))
+        runs = []
+        init = LinkDiagram.__init__
+
+        def counted(self, *args, **kwargs):
+            runs.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinkDiagram, "__init__", counted)
+        out = fill_slot(d, 0, *f)
+        oriented = fill_slot(od, 0, *g)
+        assert out.crossings and oriented.is_oriented
+        for x in (out, oriented):
+            crossing_change(x, 0)
+        resolve(out, 0, 1)
+        oriented_resolve(oriented, 0)
+        assert runs == []
+
+
+class TestOutputCheck:
+    """A surgery whose joins break the label rule raises PDError from the
+    output check, since no constructor runs to catch it."""
+
+    def test_a_label_left_once_three_or_four_times_is_refused(self):
+        d = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
+        a, b, c, e = d.crossings[0]
+        rest = d.crossings[1:]
+        other = min(set(range(1, 7)) - {a, b, c, e})
+        # the smoothing with one join missing leaves b and c once each; b
+        # joined to a label of another crossing occurs three times
+        for joins in ([(a, e)], [(a, e), (b, other)]):
+            with pytest.raises(PDError, match="label rule"):
+                _surgery(d, rest, d.slots, joins, None)
+        # two labels joined with no crossing removed: one label, four times
+        with pytest.raises(PDError, match="label rule"):
+            _surgery(d, d.crossings, d.slots, [(a, other)], None)
+        assert _surgery(d, rest, d.slots, [(a, e), (b, c)], None) == resolve(d, 0, 0)
 
 
 class TestIncompatibleFill:
