@@ -7,7 +7,9 @@ system has one row per crossing and one column per arc, with coincident arcs
 collapsed by summing coefficients (a kink row collapses to 0). Rows are built
 sparse, as {arc: coefficient} dicts, once per diagram and kept on the diagram
 instance together with its determinant, so asking again, or asking
-n_colorable for several primes, eliminates nothing twice.
+n_colorable for several primes, eliminates nothing twice. n_colorable reads
+the determinant first and settles every prime that does not divide it from
+the determinant alone; only a prime that divides it gets a rank pass.
 
 The determinant is the absolute value of any maximal minor, computed by
 fraction-free Bareiss elimination over Python integers; no floating point.
@@ -380,23 +382,31 @@ def rank_mod_p(matrix, p: int) -> int:
 def n_colorable(d: LinkDiagram, n: int) -> bool:
     """Whether the diagram admits a non-monochromatic coloring mod prime n.
 
-    Computed two ways that agree on planar diagrams: nullspace rank of the
-    coloring system over the n-element field, and divisibility of the
-    determinant by n. Where they disagree on a diagram that is not planar,
-    PDError says so.
+    The determinant is read first. When n does not divide it the answer is
+    no, on any diagram, planar or not. Without crossings that is one loop.
+    With k crossings, a nonzero determinant means k arcs and no free loops,
+    and a (k-1)-minor nonzero mod n, so the rank mod n is at least k-1;
+    every row sums to 0, so the all-ones vector is in the kernel and the
+    rank is at most k-1. The nullity is 1: only the constant colorings.
+
+    When n divides the determinant, the nullity of the coloring system over
+    the n-element field is computed too. The two criteria agree on planar
+    diagrams; where they disagree on a diagram that is not planar, PDError
+    says so.
     """
     if not _is_prime(n):
         raise ValueError(f"{n} is not prime")
     if d.slots:
         raise PDError("diagram has unfilled slots")
+    if determinant(d) % n:
+        return False
     if not d.crossings:
         by_rank = d.loops >= 2
     else:
         rows, arcs = _system(d)
         # free loops are further variables: zero columns that add no rank
         by_rank = arcs + d.loops - rank_mod_p(rows, n) >= 2
-    by_det = determinant(d) % n == 0
-    if by_rank != by_det:
+    if not by_rank:
         if not is_planar(d):
             raise PDError(
                 f"diagram is not planar: its rank and determinant criteria "
@@ -404,6 +414,6 @@ def n_colorable(d: LinkDiagram, n: int) -> bool:
             )
         # on a planar diagram the two criteria are equivalent
         raise AssertionError(
-            f"colorability criteria disagree for n={n}: rank={by_rank} det={by_det}"
+            f"colorability criteria disagree for n={n}: rank=False det=True"
         )
-    return by_rank
+    return True

@@ -169,7 +169,11 @@ class LinkDiagram(_Record):
                 raise PDError("tuples must have four entries")
             for e in t:
                 counts[e] = counts.get(e, 0) + 1
-        if not all(isinstance(e, int) and e > 0 for e in counts):
+        flat = list(chain.from_iterable(crossings + slots))
+        # the exact type of every entry, not of the distinct labels: a bool
+        # is an int and True == 1, so it would pair up with, or hide behind,
+        # an equal int label
+        if not set(map(type, flat)) <= {int} or min(counts, default=1) < 1:
             raise PDError("edge labels must be positive integers")
         wrong = sorted(e for e, c in counts.items() if c != 2)
         if wrong:
@@ -177,7 +181,6 @@ class LinkDiagram(_Record):
                 raise PDError(f"slot endpoint reuse: labels {wrong} occur != 2 times")
             raise PDError(f"edge labels must occur exactly twice: {wrong}")
         k = len(crossings)
-        flat = list(chain.from_iterable(crossings + slots))
         _, tuples, crossings = _label_rule(flat, counts, k)
         _Record.__init__(self, crossings, tuple(tuples[k:]), loops, orientation)
         if orientation is not None:

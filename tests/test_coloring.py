@@ -16,6 +16,7 @@ from tanglekit.coloring import (
 )
 from tanglekit.corpus import bundled_templates, load_corpus
 from tanglekit.diagram import (
+    LinkDiagram,
     PDError,
     connected_sum,
     crossing_change,
@@ -452,9 +453,11 @@ class TestColorability:
             n_colorable(d, n)
 
     def test_disagreement_on_a_planar_diagram_stays_an_assertion(self, monkeypatch):
-        monkeypatch.setattr(coloring, "determinant", lambda d: 1)
+        # a faked determinant 0 is divisible by 5, so the rank pass runs and
+        # finds the trefoil's system mod 5 of nullity 1
+        monkeypatch.setattr(coloring, "determinant", lambda d: 0)
         with pytest.raises(AssertionError, match="criteria disagree"):
-            n_colorable(TREFOIL, 3)
+            n_colorable(TREFOIL, 5)
 
     def test_divisibility_matches_rank_over_corpus_primes(self):
         for d in (UNKNOT_0, UNKNOT_KINK, HOPF, TREFOIL, FIG8_KNOT):
@@ -478,6 +481,102 @@ def stock_closures():
             f = cf_to_fraction(ContinuedFraction(tuple(terms)))
             out.append((f"{name}-{total}", splice(t, 0, f)))
     return out
+
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def random_pd_codes(seed: int = 16, per_size: int = 40):
+    """Diagrams from random perfect matchings of the 4k crossing positions,
+    k = 1..12, labelled pair by pair: PD codes that are mostly not planar."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(1, 13):
+        for _ in range(per_size):
+            positions = list(range(4 * k))
+            rng.shuffle(positions)
+            flat = [0] * (4 * k)
+            for label, i in enumerate(range(0, 4 * k, 2), 1):
+                flat[positions[i]] = flat[positions[i + 1]] = label
+            quads = iter(flat)
+            out.append(LinkDiagram(list(zip(quads, quads, quads, quads))))
+    return out
+
+
+def both_criteria(d, n: int) -> bool:
+    """Reference for n_colorable: the rank criterion and divisibility, both
+    on every call, with its errors where they disagree."""
+    if not d.crossings:
+        by_rank = d.loops >= 2
+    else:
+        rows, arcs = coloring._system(d)
+        by_rank = arcs + d.loops - rank_mod_p(rows, n) >= 2
+    if by_rank != (determinant(d) % n == 0):
+        raise PDError("not planar") if not is_planar(d) else AssertionError()
+    return by_rank
+
+
+def outcome(f, d, n: int):
+    """f(d, n), or the type of the error it raises."""
+    try:
+        return f(d, n)
+    except (PDError, AssertionError) as e:
+        return type(e)
+
+
+class TestDeterminantSettlesColorability:
+    """n_colorable reads the determinant first; a prime that does not divide
+    it is answered without a rank pass."""
+
+    def test_nullity_one_when_p_does_not_divide_det(self):
+        # on any PD code, planar or not: rank >= k-1 from a minor nonzero
+        # mod p, rank <= k-1 from the all-ones kernel vector
+        diagrams = random_pd_codes()
+        cases = non_planar = 0
+        for d in diagrams:
+            non_planar += not is_planar(d)
+            rows, arcs = coloring._system(d)
+            for p in PRIMES:
+                if determinant(d) % p:
+                    assert arcs + d.loops - rank_mod_p(rows, p) < 2, (d, p)
+                    cases += 1
+        assert non_planar > len(diagrams) // 2
+        assert cases > 1000
+
+    def test_same_answer_as_both_criteria(self):
+        diagrams = [e.diagram() for e in load_corpus()]
+        diagrams += [d for _, d in stock_closures()]
+        diagrams += random_pd_codes(per_size=10)
+        errors = 0
+        for d in diagrams:
+            for p in PRIMES:
+                want = outcome(both_criteria, d, p)
+                assert outcome(n_colorable, d, p) == want, (d, p)
+                errors += want is PDError
+        assert errors > 0  # the non-planar refusal is exercised
+
+    def test_rank_pass_only_where_n_divides_det(self, monkeypatch):
+        diagrams = [e.diagram() for e in load_corpus()]
+        diagrams += random_pd_codes(per_size=5)
+        dets = [determinant(d) for d in diagrams]
+        calls = {"determinant": 0, "rank_mod_p": 0}
+        for name in calls:
+            orig = getattr(coloring, name)
+
+            def counted(*args, _name=name, _orig=orig):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(coloring, name, counted)
+        ranked = 0
+        for d, det in zip(diagrams, dets):
+            for p in PRIMES:
+                calls.update(determinant=0, rank_mod_p=0)
+                outcome(n_colorable, d, p)
+                runs = bool(d.crossings) and det % p == 0
+                assert calls == {"determinant": 1, "rank_mod_p": int(runs)}, (d, p)
+                ranked += runs
+        assert 0 < ranked < len(diagrams) * len(PRIMES)
 
 
 class TestSparseSystem:
@@ -564,8 +663,8 @@ class TestSparseSystem:
 
         for module in (coloring, skein):
             monkeypatch.setattr(module, "determinant", off_by_one)
-        # rank says 3-colorable, the patched determinant 4 says not
+        # the patched determinant 4 says 2-colorable, rank says not
         with pytest.raises(AssertionError, match="criteria disagree"):
-            n_colorable(d, 3)
+            n_colorable(d, 2)
         with pytest.raises(TemplateError):
             fit_coefficients(t)

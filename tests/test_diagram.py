@@ -131,6 +131,12 @@ class TestParse:
         with pytest.raises(PDError, match="positive"):
             LinkDiagram([(0, 2, 2, 0)])
 
+    @pytest.mark.parametrize("t", [(True, 1, 2, 2), (1, True, 2, 2), (1, 1, 2.0, 2)])
+    def test_non_int_labels_rejected(self, t):
+        # True == 1 and 2.0 == 2, so these labels even pair up by count
+        with pytest.raises(PDError, match="positive integers"):
+            LinkDiagram([t])
+
     def test_constructor_applies_the_label_rule(self):
         # the constructor renumbers and canonicalizes what parse_pd accepts,
         # and its errors name the caller's labels
