@@ -18,9 +18,16 @@ stored. One helper, `_label_rule`, does the renumbering and the rotation. The
 output is valid by construction, calls it on its own result and then checks
 in one pass (`_check_twice`) that the labels are 1..n, each twice.
 
+Position 4v + i is entry i of tuple v, crossings first and slots after them,
+so `q >> 2` is its tuple and `q ^ 2` the entry across a crossing. A diagram's
+`_index`, built in one pass and kept on the instance, holds the label at each
+position, each label's first position, and each position's `mate` (the other
+position with that label). Nothing else knows where a label sits: tracing,
+orientation transport, planarity and connected sums all read it.
+
 Orientation is one direction flag per traced unit (open strands first, then
 closed components), relative to the canonical traversal; per-edge directions
-are derived. Crossing-free loops carry no flag.
+are derived as (tail, head) positions. Crossing-free loops carry no flag.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ __all__ = [
     "fill_slot",
 ]
 
-Occ = tuple[int, int, int]  # (kind, index, position); kind 0 = crossing, 1 = slot
 Quad = tuple[int, int, int, int]  # a crossing or slot tuple
 
 
@@ -79,11 +85,16 @@ def _label_rule(
     if max(labels, default=0) != len(labels):
         number = dict(zip(labels, range(1, len(labels) + 1)))
         flat = list(map(number.__getitem__, flat))
-    quads = iter(flat)
-    tuples = list(zip(quads, quads, quads, quads))
+    tuples = _quads(flat)
     # the smaller of (a, b, c, d) and (c, d, a, b)
     crossings = tuple([t if t[:2] <= t[2:] else t[2:] + t[:2] for t in tuples[:k]])
     return flat, tuples, crossings
+
+
+def _quads(flat: list[int]) -> list[Quad]:
+    """Consecutive groups of four labels, as tuples."""
+    q = iter(flat)
+    return list(zip(q, q, q, q))
 
 
 def _check_twice(flat: list[int]) -> None:
@@ -144,7 +155,7 @@ class _UnionFind:
 
 
 class LinkDiagram(_Record):
-    # no __slots__: __dict__ keeps the traced units, coloring system and determinant
+    # no __slots__: __dict__ caches the index, units, coloring system and determinant
     _fields = ("crossings", "slots", "loops", "orientation")
 
     def __init__(
@@ -206,83 +217,80 @@ class LinkDiagram(_Record):
     def is_oriented(self) -> bool:
         return self.orientation is not None
 
-    def occurrences(self) -> dict[int, list[Occ]]:
-        occ: dict[int, list[Occ]] = {}
-        for i, t in enumerate(self.crossings):
-            for p, e in enumerate(t):
-                occ.setdefault(e, []).append((0, i, p))
-        for j, t in enumerate(self.slots):
-            for p, e in enumerate(t):
-                occ.setdefault(e, []).append((1, j, p))
-        return occ
+    @cached_property
+    def _index(self) -> tuple[list[int], list[int], list[int]]:
+        """(labels, first, mate): the label at each position, each label's
+        first position (indexed by label; index 0 is unused) and each
+        position's mate. Callers read the lists and never change them."""
+        labels = list(chain.from_iterable(self.crossings + self.slots))
+        first = [-1] * (len(labels) // 2 + 1)
+        mate = [0] * len(labels)
+        for q, e in enumerate(labels):
+            p = first[e]
+            if p < 0:
+                first[e] = q
+            else:
+                mate[p] = q
+                mate[q] = p
+        return labels, first, mate
 
     @cached_property
-    def _units(self) -> list[list[tuple[int, Occ, Occ]]]:
+    def _units(self) -> list[list[tuple[int, int, int]]]:
         """Traced units: open strands (slot to slot), then closed components.
 
-        Each unit is a list of steps (edge, from_occ, to_occ) in traversal
-        order. Deterministic: paths start from slot occurrences in scan order,
-        cycles from the smallest unvisited edge toward its later occurrence.
-        Traced once per instance (they do not depend on orientation); callers
-        read the lists and never change them.
+        Each unit is a list of steps (edge, from, to) in traversal order, where
+        from and to are the edge's two positions. Deterministic: paths start
+        from slot positions in order, cycles from the smallest unvisited edge
+        at its first position. Traced once per instance (they do not depend on
+        orientation); callers read the lists and never change them.
         """
-        occ = self.occurrences()
-        visited: set[int] = set()
-        units: list[list[tuple[int, Occ, Occ]]] = []
+        labels, first, mate = self._index
+        slot0 = 4 * len(self.crossings)
+        visited = [False] * len(first)
+        units: list[list[tuple[int, int, int]]] = []
 
-        def other(e: int, o: Occ) -> Occ:
-            a, b = occ[e]
-            return b if o == a else a
-
-        def walk(e: int, start: Occ) -> list[tuple[int, Occ, Occ]]:
-            steps = []
-            cur, frm = e, start
+        def walk(start: int) -> list[tuple[int, int, int]]:
+            steps, frm = [], start
             while True:
-                visited.add(cur)
-                to = other(cur, frm)
-                steps.append((cur, frm, to))
-                if to[0] == 1:
+                e = labels[frm]
+                visited[e] = True
+                to = mate[frm]
+                steps.append((e, frm, to))
+                if to >= slot0:
                     return steps  # path end at a slot
-                nxt_pos = (to[2] + 2) % 4
-                nxt = self.crossings[to[1]][nxt_pos]
-                frm = (0, to[1], nxt_pos)
-                if nxt == e and frm == start:
+                frm = to ^ 2  # straight through the crossing
+                if frm == start:
                     return steps  # cycle closed
-                cur = nxt
 
-        for j, t in enumerate(self.slots):
-            for p, e in enumerate(t):
-                if e not in visited:
-                    units.append(walk(e, (1, j, p)))
-        for e in sorted(occ):
-            if e not in visited:
-                units.append(walk(e, occ[e][0]))
+        for q in chain(range(slot0, len(labels)), first[1:]):
+            if not visited[labels[q]]:
+                units.append(walk(q))
         return units
 
-    def edge_directions(self) -> dict[int, tuple[Occ, Occ]]:
-        """Per-edge (tail, head) occurrences under the stored orientation."""
+    def edge_directions(self) -> dict[int, tuple[int, int]]:
+        """Per-edge (tail, head) positions under the stored orientation."""
         if self.orientation is None:
             raise PDError("diagram is not oriented")
-        dirs: dict[int, tuple[Occ, Occ]] = {}
+        dirs: dict[int, tuple[int, int]] = {}
         for flag, unit in zip(self.orientation, self._units):
             for e, frm, to in unit:
                 dirs[e] = (frm, to) if flag == 1 else (to, frm)
         return dirs
 
-    def incoming_positions(self, crossing: int) -> set[int]:
-        """Positions of the two edges directed into the given crossing."""
+    def incoming_positions(self, v: int) -> set[int]:
+        """Entries of tuple v (crossings first, then slots) whose edges are
+        directed into it: into the crossing, or into the slot's deleted disk."""
+        if not 0 <= v < len(self.crossings) + len(self.slots):
+            raise PDError(f"tuple index {v} out of range")
         dirs = self.edge_directions()
-        ins: set[int] = set()
-        for p, e in enumerate(self.crossings[crossing]):
-            if dirs[e][1] == (0, crossing, p):
-                ins.add(p)
-        return ins
+        labels = self._index[0]
+        return {i for i in range(4) if dirs[labels[4 * v + i]][1] == 4 * v + i}
 
     def with_orientation(self, flags: tuple[int, ...] | None) -> "LinkDiagram":
         """This diagram with other flags, and no label pass: the checked
-        fields and every value cached on this diagram (traced units, coloring
-        system, determinant; none depends on orientation) are shared, and
-        only the flags are checked."""
+        fields and every value cached on this diagram (position index, traced
+        units, coloring system, determinant; none depends on orientation) are
+        shared, and only the flags are checked."""
         out = object.__new__(LinkDiagram)
         vars(out).update(vars(self), orientation=flags)
         if flags is not None:
@@ -293,9 +301,9 @@ class LinkDiagram(_Record):
 # -- construction helpers ----------------------------------------------------
 
 
-def _inherit_orientation(new: LinkDiagram, heads: dict[int, Occ]) -> tuple[int, ...]:
+def _inherit_orientation(new: LinkDiagram, heads: dict[int, int]) -> tuple[int, ...]:
     """Orientation flags for `new` from inherited heads: for each directed
-    edge, the occurrence its strand flows into. A unit whose heads disagree
+    edge, the position its strand flows into. A unit whose heads disagree
     has no consistent orientation."""
     flags: list[int] = []
     for unit in new._units:
@@ -385,43 +393,37 @@ def components(d: LinkDiagram) -> int:
     return len(d._units) + d.loops
 
 
-# Slot tuple positions (a, b, c, d) = (NW, NE, SW, SE) in counterclockwise
-# order: a, c, d, b.
-_SLOT_CYCLE = (0, 2, 3, 1)
+# A slot's entries (a, b, c, d) = (NW, NE, SW, SE) run counterclockwise a, c,
+# d, b: the entry after entry i.
+_SLOT_NEXT = (2, 0, 3, 1)
 
 
 def is_planar(d: LinkDiagram) -> bool:
     """V - E + F = 2 * (connected pieces) for the 4-valent graph whose
-    vertices are the crossings and slots, with each vertex's edges in
-    counterclockwise order; faces are traced as orbits of "cross the edge,
-    then turn to the next edge counterclockwise". Crossing-free loops are
-    ignored."""
-    rotations = list(d.crossings) + [
-        tuple(s[i] for i in _SLOT_CYCLE) for s in d.slots
-    ]
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for v, rot in enumerate(rotations):
-        for i, e in enumerate(rot):
-            ends.setdefault(e, []).append((v, i))
-    pieces = _UnionFind()
-    pieces.merge((rot[0], e) for rot in rotations for e in rot[1:])
-
+    vertices are the crossings and slots, where E = 2V. Faces are the orbits
+    of "go to the mate, then to the next position counterclockwise"; a
+    crossing lists its positions counterclockwise, a slot as a, c, d, b.
+    Crossing-free loops are ignored."""
+    labels, _, mate = d._index
+    slot0 = 4 * len(d.crossings)
+    seen = [False] * len(labels)
     faces = 0
-    seen: set[tuple[int, int]] = set()
-    for start in ((v, i) for v in range(len(rotations)) for i in range(4)):
-        if start in seen:
+    for start in range(len(labels)):
+        if seen[start]:
             continue
         faces += 1
-        dart = start
-        while dart not in seen:
-            seen.add(dart)
-            a, b = ends[rotations[dart[0]][dart[1]]]
-            w, j = b if a == dart else a
-            dart = (w, (j + 1) % 4)
+        q = start
+        while not seen[q]:
+            seen[q] = True
+            q = mate[q]
+            i = q & 3
+            q += (_SLOT_NEXT[i] if q >= slot0 else (i + 1) & 3) - i
 
+    pieces = _UnionFind()
+    pieces.merge((t[0], e) for t in d.crossings + d.slots for e in t[1:])
     root = pieces.roots()
-    n_pieces = len({root.get(e, e) for e in ends})
-    return len(rotations) - len(ends) + faces == 2 * n_pieces
+    n_pieces = len({root.get(e, e) for e in labels})
+    return faces - len(labels) // 4 == 2 * n_pieces
 
 
 def _surgery(
@@ -429,7 +431,7 @@ def _surgery(
     crossings: Collection[Quad],
     slots: Collection[Quad],
     joins: Iterable[tuple[int, int]],
-    where: Callable[[Occ], Occ | None] | None,
+    where: Callable[[int], int | None] | None,
 ) -> LinkDiagram:
     """Build `crossings` and `slots` with each edge-label pair in `joins`
     identified; a join that closes a cycle leaves a free loop.
@@ -439,9 +441,9 @@ def _surgery(
     constructor, which also rotates the crossings). The result does not go
     through the constructor; `_check_twice` checks its labels in one pass.
 
-    For an oriented `d`, `where(occ)` places each old occurrence in the new
-    tuples (positions before canonical rotation), or gives None where the
-    surgery removed it. Each old edge hands its head, where it survives, to
+    For an oriented `d`, `where(q)` places each old position in the new
+    tuples (before canonical rotation), or gives None where the surgery
+    removed it. Each old edge hands its head, where it survives, to
     the final label at that position: a label that is not a free loop keeps
     exactly one.
     """
@@ -462,15 +464,13 @@ def _surgery(
     )
     if d.orientation is None:
         return new
-    heads: dict[int, Occ] = {}
+    heads: dict[int, int] = {}
     for _, head in d.edge_directions().values():
-        o = where(head)
-        if o is not None:
-            kind, i, p = o
-            e = tuples[kind * k + i][p]
-            if kind == 0 and crossings[i] != tuples[i]:  # stored rotated by two
-                o = (0, i, (p + 2) % 4)
-            heads[e] = o
+        q = where(head)
+        if q is not None:
+            v = q >> 2
+            # a crossing stored rotated by two moves each entry by two
+            heads[flat[q]] = q ^ 2 if v < k and crossings[v] != tuples[v] else q
     return new.with_orientation(_inherit_orientation(new, heads))
 
 
@@ -479,11 +479,10 @@ def _smooth(d: LinkDiagram, i: int, which: int) -> LinkDiagram:
     t = d.crossings[i]
     joins = [(t[0], t[3]), (t[1], t[2])] if which == 0 else [(t[0], t[1]), (t[2], t[3])]
 
-    def where(o: Occ) -> Occ | None:
-        kind, idx, p = o
-        if kind == 1 or idx < i:
-            return o
-        return None if idx == i else (0, idx - 1, p)
+    def where(q: int) -> int | None:
+        if q >> 2 == i:
+            return None
+        return q if q < 4 * i else q - 4
 
     return _surgery(d, d.crossings[:i] + d.crossings[i + 1 :], d.slots, joins, where)
 
@@ -514,9 +513,9 @@ def crossing_change(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
     a, b, c, e = d.crossings[i]
     crossings = d.crossings[:i] + ((b, c, e, a),) + d.crossings[i + 1 :]
 
-    def where(o: Occ) -> Occ:
-        # old position p sits at position p - 1 of the flipped tuple
-        return (0, i, (o[2] + 3) % 4) if o[:2] == (0, i) else o
+    def where(q: int) -> int:
+        # old entry p sits at entry p - 1 of the flipped tuple
+        return 4 * i + (q + 3) % 4 if q >> 2 == i else q
 
     return _surgery(d, crossings, d.slots, (), where)
 
@@ -574,15 +573,18 @@ def connected_sum(
     if a2 < 1 or a2 > d2.arc_count:
         raise PDError(f"edge {a2} not in second diagram")
     shift = d1.arc_count
-    one = [[list(t) for t in ts] for ts in (d1.crossings, d1.slots)]
-    two = [[[e + shift for e in t] for t in ts] for ts in (d2.crossings, d2.slots)]
+    labels1, first1, mate1 = d1._index
+    labels2, first2, _ = d2._index
+    one = labels1.copy()
+    two = [e + shift for e in labels2]
     # cut and swap: the second end of a1 takes a2's label and the first end of
     # a2 takes a1's, so the two cut strands cross-join
-    kind, i, p = d1.occurrences()[a1][1]
-    one[kind][i][p] = a2 + shift
-    kind, i, p = d2.occurrences()[a2][0]
-    two[kind][i][p] = a1
-    return LinkDiagram(one[0] + two[0], one[1] + two[1], d1.loops + d2.loops)
+    one[mate1[first1[a1]]] = a2 + shift
+    two[first2[a2]] = a1
+    k1, k2 = 4 * len(d1.crossings), 4 * len(d2.crossings)
+    return LinkDiagram(
+        _quads(one[:k1] + two[:k2]), _quads(one[k1:] + two[k2:]), d1.loops + d2.loops
+    )
 
 
 def fill_slot(
@@ -607,22 +609,22 @@ def fill_slot(
     keep_slots = d.slots[:slot_index] + d.slots[slot_index + 1 :]
     where = None
     if d.orientation is not None:
-        dirs = d.edge_directions()
-        entering = [dirs[e][1] == (1, slot_index, p) for p, e in enumerate(slot)]
+        base = 4 * len(d.crossings)
+        entering = d.incoming_positions(len(d.crossings) + slot_index)
         for p, q in combinations(range(4), 2):
-            if glue[p] == glue[q] and entering[p] == entering[q]:
+            if glue[p] == glue[q] and (p in entering) == (q in entering):
                 raise PDError(f"tangle strand joins like-directed slot ends {p}, {q}")
         # the tangle-side end of each stub; a stub running straight across to
         # another boundary point has none
-        n_old = len(d.crossings)
-        inner = {
-            e: (0, n_old + j, p) for j, t in enumerate(add) for p, e in enumerate(t)
-        }
+        inner = {e: base + q for q, e in enumerate(chain.from_iterable(add))}
+        cut = base + 4 * slot_index  # the slot's first position
+        added = 4 * len(add)
 
-        def where(o: Occ) -> Occ | None:
-            kind, idx, p = o
-            if kind == 0 or idx < slot_index:
-                return o
-            return inner.get(glue[p]) if idx == slot_index else (1, idx - 1, p)
+        def where(q: int) -> int | None:
+            if q < base:
+                return q
+            if q < cut:
+                return q + added
+            return inner.get(glue[q - cut]) if q < cut + 4 else q + added - 4
 
     return _surgery(d, [*d.crossings, *add], keep_slots, zip(slot, glue), where)

@@ -180,13 +180,12 @@ _PAIRINGS = {AB_CD: ((0, 1), (2, 3)), AC_BD: ((0, 2), (1, 3)), AD_BC: ((0, 3), (
 def slot_io(t: TangleTemplate, slot: int) -> tuple[str, str, str, str]:
     """Per-endpoint flow at a slot of an oriented template: 'in' where the
     strand runs into the deleted disk, 'out' where it leaves."""
+    if not 0 <= slot < t.slot_count:
+        raise TemplateError(f"slot {slot} out of range")
     if not t.diagram.is_oriented:
         raise TemplateError("template is not oriented")
-    dirs = t.diagram.edge_directions()
-    flags = []
-    for p, e in enumerate(t.diagram.slots[slot]):
-        flags.append("in" if dirs[e][1] == (1, slot, p) else "out")
-    return tuple(flags)
+    ins = t.diagram.incoming_positions(len(t.diagram.crossings) + slot)
+    return tuple("in" if p in ins else "out" for p in range(4))
 
 
 def compatible_classes_for_slot(t: TangleTemplate, slot: int) -> frozenset[str]:

@@ -24,7 +24,6 @@ __all__ = [
     "ContinuedFraction",
     "TangleWord",
     "CompiledTangle",
-    "ConnectivityClass",
     "cf_to_fraction",
     "fraction_to_cf",
     "cf_to_word",

@@ -90,6 +90,17 @@ def test_every_public_name_resolves_to_its_submodule():
         assert getattr(home, name) is value, name
 
 
+@pytest.mark.parametrize(
+    "module", ["certify", "cli", "coloring", "corpus", "diagram", "skein", "tangle"]
+)
+def test_star_import_of_every_submodule_binds_its_whole_all(module):
+    namespace = {}
+    exec(f"from tanglekit.{module} import *", namespace)
+    home = sys.modules[f"tanglekit.{module}"]
+    for name in home.__all__:
+        assert namespace[name] is getattr(home, name), (module, name)
+
+
 def test_dir_lists_names_and_submodules_only():
     names = dir(tanglekit)
     assert names == sorted(names)

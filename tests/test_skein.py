@@ -31,6 +31,7 @@ from tanglekit.skein import (
     orientation_compatible,
     partner,
     reduced_fractions,
+    slot_io,
     splice,
     two_slot_scan,
     unoriented_triple,
@@ -217,6 +218,32 @@ class TestOrientedTriple:
         pair = FareyPair(F("1/2"), F("0/1"))  # mediant 1/3, class AD|BC
         with pytest.raises(TemplateError):
             oriented_triple(pair, figure8_template(ANTIPARALLEL), 0)
+
+
+class TestSlotRange:
+    """Every slot-level orientation query refuses a slot out of range, a
+    negative one included, which would otherwise index from the end."""
+
+    @pytest.mark.parametrize("slot", [-1, -2, 1, 5])
+    def test_slot_out_of_range_is_template_error(self, slot):
+        pair = FareyPair(F("0/1"), F("1/0"))
+        for tag in (PARALLEL, ANTIPARALLEL):
+            t = figure8_template(tag)
+            for query in (
+                lambda: slot_io(t, slot),
+                lambda: compatible_classes_for_slot(t, slot),
+                lambda: oriented_triple(pair, t, slot),
+            ):
+                with pytest.raises(TemplateError, match="out of range"):
+                    query()
+
+    def test_second_slot_of_an_oriented_two_slot_template(self):
+        t = NECKLACE2.oriented((1, -1, 1, -1))
+        assert slot_io(t, 1) == ("out", "in", "out", "in")
+        every_in = NECKLACE2.oriented((1, 1, 1, 1)).diagram
+        assert every_in.incoming_positions(1) == {0, 1, 2, 3}
+        with pytest.raises(TemplateError, match="out of range"):
+            slot_io(t, 2)
 
 
 class TestAlignedWords:
