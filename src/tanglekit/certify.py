@@ -181,7 +181,7 @@ def _derive(
         raise CertificateError("certificates need a one-slot ambient")
     if target.q == 0:
         raise CertificateError("the infinity insertion has no certificate")
-    if insertion_det(ambient, 0, target) == 0:
+    if insertion_det(ambient, target) == 0:
         raise CertificateError(f"target {target} is the ambient zero locus")
     compat = _SECTOR_PARITIES[tag] if tag else None
     if compat and target.parity() not in compat:
@@ -193,7 +193,7 @@ def _derive(
             f"certificate for {target} needs more than {MAX_CERTIFICATE_STEPS} "
             "generation steps"
         )
-    a, b = ambient.coeffs[0]
+    a, b = ambient.coeffs
     ps, qs, justs = [], [], []
 
     def emit(node: list, just: tuple) -> None:
@@ -286,9 +286,7 @@ def _refit(diagram: LinkDiagram, det) -> tuple[int, int]:
     return fit_coefficients(TangleTemplate(diagram))
 
 
-def verify_certificate(
-    cert: Certificate, ambient: TangleTemplate | None = None
-) -> Verdict:
+def verify_certificate(cert: Certificate) -> Verdict:
     """Re-check a certificate independently of how it was generated.
 
     0. the recorded ambient coefficients match a fresh fit of its diagram
@@ -304,19 +302,19 @@ def verify_certificate(
     Checks 2-5 run on the certificate's integer columns; fractions appear
     only in REJECT messages, formatted as p/q.
     """
-    ambient = ambient or cert.ambient
-    if ambient.slot_count != 1 or ambient.coeffs[0] is None:
+    if cert.ambient.coeffs is None:
         return Verdict(False, 0, None, "ambient must be one fitted slot")
-    diagram = ambient.diagram
+    diagram = cert.ambient.diagram
     if diagram.orientation is not None:
         diagram = diagram.with_orientation(None)
     try:
         refit = _refit(diagram, _skein.determinant)
     except Exception as exc:  # noqa: BLE001 - a verdict, not a fault
         return Verdict(False, 0, None, f"ambient cannot be refitted: {exc}")
-    if refit != ambient.coeffs[0]:
+    if refit != cert.ambient.coeffs:
         return Verdict(
-            False, 0, None, f"recorded coefficients {ambient.coeffs[0]} != refit {refit}"
+            False, 0, None,
+            f"recorded coefficients {cert.ambient.coeffs} != refit {refit}",
         )
     if cert.kind not in (UNORIENTED, ORIENTED):
         return Verdict(False, 0, None, f"unknown kind {cert.kind!r}")
@@ -324,7 +322,7 @@ def verify_certificate(
         return Verdict(False, 0, None, "empty certificate")
 
     oriented = cert.kind == ORIENTED
-    a, b = ambient.coeffs[0]
+    a, b = cert.ambient.coeffs
     ps, qs, tags = cert.ps, cert.qs, cert.tags
     for m, just in enumerate(cert.justs):
         p, q = ps[m], qs[m]
@@ -462,8 +460,8 @@ def connected_sum_certificate(
             "witness certificate does not match the summand's invariants"
         )
     lifted_diagram = connected_sum(c1.ambient.diagram, 1, k2, 1)
-    a, b = c1.ambient.coeffs[0]
-    lifted = TangleTemplate(lifted_diagram, ((a * det2, b * det2),))
+    a, b = c1.ambient.coeffs
+    lifted = TangleTemplate(lifted_diagram, (a * det2, b * det2))
     return Certificate._columns(c1.kind, lifted, c1.ps, c1.qs, c1.tags, c1.justs)
 
 
@@ -489,7 +487,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "kind": cert.kind,
         "ambient": {
             "pd": pd_string(cert.ambient.diagram),
-            "coeffs": list(cert.ambient.coeffs[0]),
+            "coeffs": list(cert.ambient.coeffs),
         },
         "nodes": nodes,
     }
@@ -511,7 +509,7 @@ def certificate_from_json(data: dict) -> Certificate:
         raise CertificateError("ambient coeffs must be two integers")
     try:
         ambient = TangleTemplate(
-            parse_pd(_field(amb, "pd", str, "ambient")), (tuple(coeffs),)
+            parse_pd(_field(amb, "pd", str, "ambient")), tuple(coeffs)
         )
     except (PDError, TemplateError) as exc:
         raise CertificateError(f"ambient: {exc}") from None
@@ -601,7 +599,7 @@ def certificate_text(cert: Certificate) -> str:
             f'    {{\n      "frac": "{p}/{q}",\n      "just": {{\n        {body}\n'
             f"      }}{orient}\n    }}"
         )
-    a, b = cert.ambient.coeffs[0]
+    a, b = cert.ambient.coeffs
     listing = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
     return (
         f'{{\n  "ambient": {{\n    "coeffs": [\n      {a},\n      {b}\n    ],\n'

@@ -148,8 +148,7 @@ def _dispatch(args) -> int:
         t = TangleTemplate(parse_pd(args.pd))
         if args.template_op == "fit":
             a, b = fit_coefficients(t)
-            fitted = t.with_coeffs(0, (a, b))
-            zl = zero_locus(fitted)
+            zl = zero_locus(TangleTemplate(t.diagram, (a, b)))
             if args.porcelain:
                 print(f"{a} | {b} | {zl}")
             else:

@@ -72,8 +72,8 @@ def bundled_templates() -> dict[str, TangleTemplate]:
     tref_sum = connected_sum(parse_pd("T[1,2,1,2]"), 1, trefoil, 1)
     return {
         "figure8": figure8_template(),
-        "twist": TangleTemplate(parse_pd("T[1,2,3,4] X[3,4,2,1]"), ((-1, 1),)),
-        "trefoil_sum": TangleTemplate(tref_sum, ((3, 0),)),
+        "twist": TangleTemplate(parse_pd("X[2,4,3,1] T[1,2,3,4]"), (-1, 1)),
+        "trefoil_sum": TangleTemplate(tref_sum, (3, 0)),
         "necklace2": TangleTemplate(parse_pd("T[1,2,3,4] T[2,1,4,3]")),
         "stack2": TangleTemplate(parse_pd("T[1,2,3,4] T[3,4,1,2]")),
     }

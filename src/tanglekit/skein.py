@@ -3,7 +3,7 @@
 A Farey pair is two reduced fractions a/b, c/d with |ad - bc| = 1; together
 with their mediant (a+c)/(b+d) they form an unoriented skein triple, and the
 mediant differs from (a-c)/(b-d) by a single crossing change. A template is a
-diagram with tangle slots; for each slot there are integers (a, b) with
+diagram with tangle slots; a one-slot template has integers (a, b) with
 det(splice(p/q)) = |b*p - a*q| for every insertion, so at most one insertion
 can have determinant zero.
 """
@@ -86,29 +86,26 @@ class SkeinTriple(_Record):
 
 
 class TangleTemplate(_Record):
-    """A diagram with open slots and optional per-slot determinant model."""
+    """A diagram with open slots; a one-slot template may carry its fitted
+    determinant model (a, b). A model of one slot among several would depend
+    on what fills the others, so only a one-slot template has one."""
 
     __slots__ = _fields = ("diagram", "coeffs")
 
     def __init__(
-        self, diagram: LinkDiagram, coeffs: tuple[tuple[int, int] | None, ...] = ()
+        self, diagram: LinkDiagram, coeffs: tuple[int, int] | None = None
     ) -> None:
         if not diagram.slots:
             raise TemplateError("template diagram has no slots")
-        if not coeffs:
-            coeffs = (None,) * len(diagram.slots)
-        elif len(coeffs) != len(diagram.slots):
-            raise TemplateError("one coefficient pair per slot required")
+        if coeffs is not None and (
+            len(diagram.slots), type(coeffs), *map(type, coeffs)
+        ) != (1, tuple, int, int):
+            raise TemplateError("a model is a pair of integers on a one-slot template")
         _Record.__init__(self, diagram, coeffs)
 
     @property
     def slot_count(self) -> int:
         return len(self.diagram.slots)
-
-    def with_coeffs(self, slot: int, ab: tuple[int, int]) -> "TangleTemplate":
-        cs = list(self.coeffs)
-        cs[slot] = ab
-        return TangleTemplate(self.diagram, tuple(cs))
 
     def oriented(self, flags: tuple[int, ...]) -> "TangleTemplate":
         return TangleTemplate(self.diagram.with_orientation(flags), self.coeffs)
@@ -167,8 +164,7 @@ def splice(t: TangleTemplate, slot: int, f: TangleFraction):
     compiled = _compiled(f)
     out = fill_slot(t.diagram, slot, compiled.crossings, compiled.stubs)
     if out.slots:
-        coeffs = tuple(c for j, c in enumerate(t.coeffs) if j != slot)
-        return TangleTemplate(out, coeffs)
+        return TangleTemplate(out)
     return out
 
 
@@ -236,7 +232,7 @@ _FIT_VALIDATION = (
 )
 
 
-def fit_coefficients(t: TangleTemplate, slot: int = 0) -> tuple[int, int]:
+def fit_coefficients(t: TangleTemplate) -> tuple[int, int]:
     """Integers (a, b) with det(splice(p/q)) = |b*p - a*q|.
 
     Probed at 0/1, 1/0 and 1/1 (the third probe resolves the relative sign),
@@ -250,7 +246,7 @@ def fit_coefficients(t: TangleTemplate, slot: int = 0) -> tuple[int, int]:
         t = TangleTemplate(t.diagram.with_orientation(None))
 
     def det_at(f: TangleFraction) -> int:
-        return determinant(splice(t, slot, f))
+        return determinant(splice(t, 0, f))
 
     det_a = det_at(_ZERO)
     det_b = det_at(_INFINITY)
@@ -273,16 +269,15 @@ def fit_coefficients(t: TangleTemplate, slot: int = 0) -> tuple[int, int]:
     return (a, b)
 
 
-def fitted(t: TangleTemplate, slot: int = 0) -> TangleTemplate:
-    return t.with_coeffs(slot, fit_coefficients(t, slot))
+def fitted(t: TangleTemplate) -> TangleTemplate:
+    return TangleTemplate(t.diagram, fit_coefficients(t))
 
 
-def zero_locus(t: TangleTemplate, slot: int = 0) -> TangleFraction:
+def zero_locus(t: TangleTemplate) -> TangleFraction:
     """The unique insertion with determinant zero: the reduced a/b."""
-    ab = t.coeffs[slot]
-    if ab is None:
+    if t.coeffs is None:
         raise TemplateError("slot coefficients not fitted")
-    a, b = ab
+    a, b = t.coeffs
     if a == 0 and b == 0:
         raise TemplateError(
             "every insertion has determinant zero: invalid template"
@@ -290,12 +285,11 @@ def zero_locus(t: TangleTemplate, slot: int = 0) -> TangleFraction:
     return TangleFraction.make(a, b)
 
 
-def insertion_det(t: TangleTemplate, slot: int, f: TangleFraction) -> int:
+def insertion_det(t: TangleTemplate, f: TangleFraction) -> int:
     """|b*p - a*q| from fitted coefficients (no splicing)."""
-    ab = t.coeffs[slot]
-    if ab is None:
+    if t.coeffs is None:
         raise TemplateError("slot coefficients not fitted")
-    a, b = ab
+    a, b = t.coeffs
     return abs(b * f.p - a * f.q)
 
 
@@ -418,7 +412,7 @@ def figure8_template(tag: str | None = None) -> TangleTemplate:
     'antiparallel' the even/odd ones; denominator-even insertions work either
     way.
     """
-    t = TangleTemplate(parse_pd("T[1,2,1,2]"), ((1, 0),))
+    t = TangleTemplate(parse_pd("T[1,2,1,2]"), (1, 0))
     if tag is None:
         return t
     if tag == PARALLEL:

@@ -39,12 +39,12 @@ def _derive(
         raise CertificateError("certificates need a one-slot ambient")
     if target.q == 0:
         raise CertificateError("the infinity insertion has no certificate")
-    if insertion_det(ambient, 0, target) == 0:
+    if insertion_det(ambient, target) == 0:
         raise CertificateError(f"target {target} is the ambient zero locus")
     compat = _SECTOR_PARITIES[tag] if tag else None
     if compat and target.parity() not in compat:
         raise CertificateError(f"{target} is not {tag}-compatible")
-    a, b = ambient.coeffs[0]
+    a, b = ambient.coeffs
     nodes: list[CertNode] = []
     # the recursion runs on reduced (p, q) pairs; a fraction is built only
     # for an emitted node

@@ -178,7 +178,7 @@ def component_reduction_step(
     both companions miss the zero locus; the three endpoint pairings are
     pairwise distinct, so the companions really merge components.
     """
-    zl = zero_locus(t, slot)
+    zl = zero_locus(t)
     nb = farey_neighbor(f)
 
     oriented = t.diagram.is_oriented

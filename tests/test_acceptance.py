@@ -138,7 +138,7 @@ def test_criterion_7_linear_model_and_zero_locus():
     rng = random.Random(414213)
     single_slot = {k: t for k, t in TEMPLATES.items() if t.slot_count == 1}
     for name, t in single_slot.items():
-        a, b = t.coeffs[0]
+        a, b = t.coeffs
         picked = 0
         while picked < 20:
             p, q = rng.randint(-9, 9), rng.randint(0, 9)

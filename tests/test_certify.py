@@ -34,6 +34,7 @@ from tanglekit.corpus import bundled_templates
 from tanglekit.diagram import parse_pd
 from tanglekit.skein import (
     TangleTemplate,
+    TemplateError,
     figure8_template,
     reduced_fractions,
     splice,
@@ -196,7 +197,7 @@ class TestForgeries:
     def test_forged_ambient_coefficients_rejected_check0(self):
         # the recorded coefficients cannot be refitted from the bare closure
         # diagram, whose true model is det |q|
-        ambient = TangleTemplate(parse_pd("T[1,2,1,2]"), ((3, 2),))
+        ambient = TangleTemplate(parse_pd("T[1,2,1,2]"), (3, 2))
         forged = Certificate(
             UNORIENTED,
             (CertNode(F("0/1"), None, ("base", "unknot")),),
@@ -208,7 +209,7 @@ class TestForgeries:
     def test_non_planar_ambient_rejected_check0(self):
         # a virtual one-slot diagram whose fit holds at every positive probe;
         # its -1/2 closure has determinant 0, not the model's 2
-        ambient = TangleTemplate(parse_pd("T[4,1,3,2] X[1,4,2,3]"), ((1, 0),))
+        ambient = TangleTemplate(parse_pd("T[4,1,3,2] X[1,4,2,3]"), (1, 0))
         v = verify_certificate(span_certificate(F("-1/2"), ambient))
         assert not v.accepted and v.check == 0
         assert "linear model (a=1, b=0) fails at -1/2: 0 != 2" in v.message
@@ -219,7 +220,7 @@ class TestForgeries:
         twist = TEMPLATES["twist"]
         c = span_certificate(F("2/5"), ambient=twist)
         assert verify_certificate(c).accepted
-        tampered = TangleTemplate(twist.diagram, ((-1, 2),))
+        tampered = TangleTemplate(twist.diagram, (-1, 2))
         v = verify_certificate(Certificate(c.kind, c.nodes, tampered))
         assert not v.accepted and v.check == 0
         data = certificate_to_json(c)
@@ -244,7 +245,7 @@ class TestForgeries:
         # twist template's zero locus
         c = span_certificate(F("-1/1"))
         assert verify_certificate(c).accepted
-        v = verify_certificate(c, ambient=bundled_templates()["twist"])
+        v = verify_certificate(Certificate(c.kind, c.nodes, bundled_templates()["twist"]))
         assert not v.accepted and v.check == 3
 
     def test_dag_violation_rejected_check1(self):
@@ -366,7 +367,7 @@ class TestConnectedSumLift:
         c1 = span_certificate(F("1/3"))
         c2 = span_certificate(F("1/3"))
         lifted = connected_sum_certificate(c1, c2, TREFOIL)
-        a, b = lifted.ambient.coeffs[0]
+        a, b = lifted.ambient.coeffs
         assert (a, b) == (3, 0)
         assert verify_certificate(lifted).accepted
         assert node_fracs(lifted) == node_fracs(c1)
@@ -384,7 +385,7 @@ class TestConnectedSumLift:
         c1 = span_certificate(F("1/3"))
         c2 = span_certificate(F("1/2"))  # Hopf as a denominator-2 closure
         lifted = connected_sum_certificate(c1, c2, hopf)
-        assert lifted.ambient.coeffs[0] == (2, 0)
+        assert lifted.ambient.coeffs == (2, 0)
         assert verify_certificate(lifted).accepted
         out = splice(TangleTemplate(lifted.ambient.diagram), 0, F("1/3"))
         assert determinant(out) == 6
@@ -444,6 +445,41 @@ class TestComponentReduction:
         tri = component_reduction_step(t, 0, F("2/1"))
         assert tri.f2 == F("3/1")
         assert tri.mediant == F("5/2")
+
+
+class TestOneFittedModel:
+    """A determinant model belongs to a one-slot template; certificates refuse
+    an ambient with two slots or with no model."""
+
+    def test_json_ambient_with_two_slots_is_refused(self, tmp_path):
+        data = certificate_to_json(span_certificate(F("2/5")))
+        data["ambient"]["pd"] = "T[1,2,3,4] T[2,1,4,3]"
+        with pytest.raises(CertificateError, match="^ambient: "):
+            certificate_from_json(data)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        from tanglekit.cli import run
+
+        assert run(["verify", str(path)]) == 1
+
+    def test_generators_refuse_a_two_slot_ambient(self):
+        necklace2 = bundled_templates()["necklace2"]
+        with pytest.raises(CertificateError, match="one-slot ambient"):
+            span_certificate(F("2/5"), necklace2)
+        with pytest.raises(CertificateError, match="one-slot ambient"):
+            oriented_span_certificate(OrientedTarget(F("2/5"), ANTIPARALLEL), necklace2)
+
+    def test_generators_refuse_an_unfitted_ambient(self):
+        unfitted = TangleTemplate(parse_pd("T[1,2,1,2]"))
+        with pytest.raises(TemplateError, match="not fitted"):
+            span_certificate(F("2/5"), unfitted)
+
+    @pytest.mark.parametrize("pd", ["T[1,2,1,2]", "T[1,2,3,4] T[2,1,4,3]"])
+    def test_unfitted_ambient_rejects_at_check_0(self, pd):
+        c = span_certificate(F("2/5"))
+        v = verify_certificate(Certificate(c.kind, c.nodes, TangleTemplate(parse_pd(pd))))
+        assert not v.accepted and v.check == 0 and v.node is None
+        assert v.message == "ambient must be one fitted slot"
 
 
 class TestSerialization:
@@ -513,6 +549,16 @@ class TestSerialization:
 
 # SHA-256 of json.dumps(certificate_to_json(c), sort_keys=True), recorded
 # before the generators moved to integer pairs: bytes must not change.
+# The stock twist ambient was then T[1,2,3,4] X[3,4,2,1], printed as below;
+# its planar coloring twin has the same fit and the same determinants, so
+# its certificates differ only in the ambient's PD text, mapped back here.
+RECORDED_TWIST_PD = ('"X[2,4,3,1] T[1,2,3,4]"', '"X[2,1,3,4] T[1,2,3,4]"')
+
+
+def as_recorded(text: str) -> str:
+    return text.replace(*RECORDED_TWIST_PD)
+
+
 GOLDEN = {
     ("figure8", None, "13/34"): "c8f1b60b99945bbc29997ced85ad52dcc436c7c03d7c619aa1e8566c0382989b",
     ("figure8", None, "233/377"): "fcd3e5fda26e4416514cbc4ce59dfdebfeea6cbabf27dfc552494d74ecfcf22c",
@@ -552,7 +598,8 @@ def test_certificate_bytes_are_unchanged(ambient, tag, target):
     else:
         c = oriented_span_certificate(OrientedTarget(F(target), tag), t)
     text = json.dumps(certificate_to_json(c), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[ambient, tag, target]
+    recorded = as_recorded(text).encode()
+    assert hashlib.sha256(recorded).hexdigest() == GOLDEN[ambient, tag, target]
     assert verify_certificate(certificate_from_json(json.loads(text))).accepted
 
 
@@ -595,7 +642,8 @@ def test_every_small_target_has_unchanged_bytes_or_refusal():
                     digest.update(b"refused\n")
                     refused += 1
                     continue
-                digest.update(json.dumps(certificate_to_json(c), sort_keys=True).encode())
+                text = json.dumps(certificate_to_json(c), sort_keys=True)
+                digest.update(as_recorded(text).encode())
                 digest.update(b"\n")
                 made += 1
     assert (made, refused) == (7090, 2918)

@@ -209,7 +209,7 @@ class TestCertifyVerify:
 
     def test_non_planar_ambient_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "c.json"
-        ambient = TangleTemplate(parse_pd("T[4,1,3,2] X[1,4,2,3]"), ((1, 0),))
+        ambient = TangleTemplate(parse_pd("T[4,1,3,2] X[1,4,2,3]"), (1, 0))
         save_certificate(span_certificate(TangleFraction(-1, 2), ambient), str(path))
         code, out, _ = invoke(capsys, "verify", str(path))
         assert code == 2

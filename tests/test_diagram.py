@@ -400,7 +400,7 @@ class TestUnionFind:
 
 
 def _fig8() -> TangleTemplate:
-    return TangleTemplate(parse_pd(FIG8_TEMPLATE), ((1, 0),))
+    return TangleTemplate(parse_pd(FIG8_TEMPLATE), (1, 0))
 
 
 def _node() -> CertNode:
@@ -409,7 +409,7 @@ def _node() -> CertNode:
 
 FIG8_REPR = (
     "TangleTemplate(diagram=LinkDiagram(crossings=(), slots=((1, 2, 1, 2),),"
-    " loops=0, orientation=None), coeffs=((1, 0),))"
+    " loops=0, orientation=None), coeffs=(1, 0))"
 )
 NODE_REPR = (
     "CertNode(frac=TangleFraction(p=1, q=1), orient=None, just=('base', 'unknot'))"

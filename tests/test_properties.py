@@ -158,7 +158,7 @@ class TestLinearModelExhaustive:
         for name, t in bundled_templates().items():
             if t.slot_count != 1:
                 continue
-            a, b = t.coeffs[0]
+            a, b = t.coeffs
             for f in reduced_fractions(10):
                 out = splice(TangleTemplate(t.diagram), 0, f)
                 assert determinant(out) == abs(b * f.p - a * f.q), (name, f)
@@ -179,7 +179,7 @@ class TestConnectedSumLiftOverCorpus:
                 lifted = connected_sum_certificate(c1, witness, e.diagram())
                 v = verify_certificate(lifted)
                 assert v.accepted, (e.name, str(v))
-                assert lifted.ambient.coeffs[0] == (e.determinant, 0)
+                assert lifted.ambient.coeffs == (e.determinant, 0)
 
 
 class TestHalfIntegerClosures:

@@ -115,7 +115,7 @@ class TestFigure8Template:
     def test_fit_is_det_q(self):
         t = TangleTemplate(parse_pd("T[1,2,1,2]"))
         assert fit_coefficients(t) == (1, 0)
-        assert fitted(t).coeffs == ((1, 0),)
+        assert fitted(t).coeffs == (1, 0)
 
     def test_insertions(self):
         t = figure8_template()
@@ -133,20 +133,53 @@ class TestFigure8Template:
         assert zero_locus(figure8_template()) == F("1/0")
 
     def test_zero_locus_examples(self):
-        t = TangleTemplate(parse_pd("T[1,2,1,2]"), ((3, 2),))
+        t = TangleTemplate(parse_pd("T[1,2,1,2]"), (3, 2))
         assert zero_locus(t) == F("3/2")
-        t = TangleTemplate(parse_pd("T[1,2,1,2]"), ((1, 1),))
+        t = TangleTemplate(parse_pd("T[1,2,1,2]"), (1, 1))
         assert zero_locus(t) == F("1/1")
 
     def test_zero_locus_rejects_null_model(self):
-        t = TangleTemplate(parse_pd("T[1,2,1,2]"), ((0, 0),))
+        t = TangleTemplate(parse_pd("T[1,2,1,2]"), (0, 0))
         with pytest.raises(TemplateError):
             zero_locus(t)
 
     def test_insertion_det_against_splice(self):
         t = figure8_template()
         for f in reduced_fractions(6):
-            assert insertion_det(t, 0, f) == determinant(splice(t, 0, f))
+            assert insertion_det(t, f) == determinant(splice(t, 0, f))
+
+
+class TestOneSlotModel:
+    """Only a one-slot template carries a determinant model, a pair (a, b)."""
+
+    def test_model_on_two_slots_is_refused(self):
+        with pytest.raises(TemplateError, match="one-slot"):
+            TangleTemplate(NECKLACE2.diagram, (1, 0))
+        with pytest.raises(TemplateError, match="one-slot"):
+            TangleTemplate(NECKLACE2.diagram, ((1, 0), (0, 1)))
+
+    @pytest.mark.parametrize(
+        "coeffs", [(1, 2, 3), (1,), ((1, 0),), (), (1.0, 0), (True, 0), [1, 0]]
+    )
+    def test_model_that_is_not_a_pair_of_integers_is_refused(self, coeffs):
+        # ((1, 0),) is a tuple holding one pair, not a pair; a float model
+        # would give a certificate whose file certificate_from_json refuses
+        with pytest.raises(TemplateError, match="pair of integers"):
+            TangleTemplate(parse_pd("T[1,2,1,2]"), coeffs)
+
+    def test_unfitted_template_has_no_zero_locus_or_insertion_det(self):
+        t = TangleTemplate(parse_pd("T[1,2,1,2]"))
+        assert t.coeffs is None
+        with pytest.raises(TemplateError, match="not fitted"):
+            zero_locus(t)
+        with pytest.raises(TemplateError, match="not fitted"):
+            insertion_det(t, F("2/5"))
+
+    def test_partly_filled_template_is_unfitted(self):
+        out = splice(NECKLACE2, 0, F("1/2"))
+        assert isinstance(out, TangleTemplate) and out.slot_count == 1
+        assert out.coeffs is None
+        assert fitted(out).coeffs == fit_coefficients(out)
 
 
 class TestOrientation:
@@ -427,12 +460,13 @@ class TestPlanarity:
         for pd in ("T[4,1,3,2] X[1,4,2,3]", "X[1,2,3,4] X[1,2,3,4]"):
             assert not is_planar(parse_pd(pd)), pd
 
-    def test_twist_template_is_not_but_its_coloring_twin_is(self):
-        # the stock twist PD has the coloring matrix, and so the determinants,
-        # of a planar one-crossing diagram; its own rotation is not planar
-        assert pd_string(bundled_templates()["twist"].diagram) == "X[2,1,3,4] T[1,2,3,4]"
-        assert not is_planar(bundled_templates()["twist"].diagram)
-        assert is_planar(parse_pd("X[2,4,3,1] T[1,2,3,4]"))
+    def test_stock_twist_is_planar_and_its_old_pd_is_not(self):
+        # the earlier stock twist PD has the coloring matrix, and so the
+        # determinants, of the planar one-crossing diagram that replaced it;
+        # its own rotation is not planar
+        assert pd_string(bundled_templates()["twist"].diagram) == "X[2,4,3,1] T[1,2,3,4]"
+        assert is_planar(bundled_templates()["twist"].diagram)
+        assert not is_planar(parse_pd("T[1,2,3,4] X[3,4,2,1]"))
 
 
 class TestPartnerNormalization:

@@ -39,6 +39,12 @@ from tanglekit.tangle import TangleFraction, compile_word, fraction_word
 
 CORPUS = [e.diagram() for e in load_corpus()]
 TEMPLATES = bundled_templates()
+# the template diagrams the digests were recorded over, among them the stock
+# twist ambient's earlier, non-planar PD
+DIGEST_TEMPLATES = {
+    **{name: t.diagram for name, t in TEMPLATES.items()},
+    "twist": parse_pd("T[1,2,3,4] X[3,4,2,1]"),
+}
 
 
 def flag_vectors(d):
@@ -53,8 +59,8 @@ def compiled(f):
 def fill_cases(fracs):
     """(oriented template, slot, fraction) over every bundled template, flag
     vector and slot."""
-    for name in sorted(TEMPLATES):
-        d = TEMPLATES[name].diagram
+    for name in sorted(DIGEST_TEMPLATES):
+        d = DIGEST_TEMPLATES[name]
         for flags in flag_vectors(d):
             t = TangleTemplate(d.with_orientation(flags))
             for slot in range(t.slot_count):
@@ -98,8 +104,8 @@ def unoriented_outputs():
             yield crossing_change(d, s)
             for which in (0, 1):
                 yield resolve(d, s, which)
-    for name in sorted(TEMPLATES):
-        d = TEMPLATES[name].diagram
+    for name in sorted(DIGEST_TEMPLATES):
+        d = DIGEST_TEMPLATES[name]
         for slot in range(len(d.slots)):
             for f in reduced_fractions(4):
                 yield fill_slot(d, slot, *compiled(f))
