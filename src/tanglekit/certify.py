@@ -177,8 +177,8 @@ def _derive(
     is its bases followed by its path nodes from root to target.
     """
     ambient = ambient or figure8_template()
-    if ambient.slot_count != 1:
-        raise CertificateError("certificates need a one-slot ambient")
+    if ambient.coeffs is None:  # only a one-slot template carries a model
+        raise CertificateError("certificates need a one-slot ambient with its model")
     if target.q == 0:
         raise CertificateError("the infinity insertion has no certificate")
     if insertion_det(ambient, target) == 0:
@@ -276,7 +276,8 @@ _REFIT_MEMO_SIZE = 64
 
 @lru_cache(maxsize=_REFIT_MEMO_SIZE)
 def _refit(diagram: LinkDiagram, det) -> tuple[int, int]:
-    """fit_coefficients of an orientation-free one-slot diagram.
+    """fit_coefficients of a one-slot diagram, which ignores its orientation
+    (an oriented diagram takes a memo entry of its own).
 
     A fit is made by the determinant that fit_coefficients evaluates its
     probes with, so that function keys the memo beside the diagram's value:
@@ -295,8 +296,10 @@ def verify_certificate(cert: Certificate) -> Verdict:
     1. DAG order: triples reference strictly earlier nodes;
     2. exact mediant/Farey identities at every triple;
     3. nonzero determinant of every node under the ambient model;
-    4. (oriented) orientation tags, compatibility of all members, and
-       correctness of the marked resolution;
+    4. (oriented) every tag is valid, forced by the fraction where the
+       denominator is odd, and shared by a triple's parents. With check 2
+       this puts each node and its marked resolution in the tag's sector and
+       the other pair member outside it, so the resolution is the unique one;
     5. bases restricted to the generating family.
 
     Checks 2-5 run on the certificate's integer columns; fractions appear
@@ -304,11 +307,8 @@ def verify_certificate(cert: Certificate) -> Verdict:
     """
     if cert.ambient.coeffs is None:
         return Verdict(False, 0, None, "ambient must be one fitted slot")
-    diagram = cert.ambient.diagram
-    if diagram.orientation is not None:
-        diagram = diagram.with_orientation(None)
     try:
-        refit = _refit(diagram, _skein.determinant)
+        refit = _refit(cert.ambient.diagram, _skein.determinant)
     except Exception as exc:  # noqa: BLE001 - a verdict, not a fault
         return Verdict(False, 0, None, f"ambient cannot be refitted: {exc}")
     if refit != cert.ambient.coeffs:
@@ -364,22 +364,11 @@ def verify_certificate(cert: Certificate) -> Verdict:
             # an odd denominator forces the tag: even numerator antiparallel
             if q % 2 and (PARALLEL if p % 2 else ANTIPARALLEL) != tag:
                 return Verdict(False, 4, m, f"{p}/{q} cannot be {tag}")
-            compat = _SECTOR_PARITIES[tag]
-            if (p % 2, q % 2) not in compat:
-                return Verdict(False, 4, m, f"{p}/{q} incompatible with its sector")
-            if kind == "triple":
-                if tags[i] != tag or tags[j] != tag:
-                    return Verdict(False, 4, m, "triple members carry different tags")
-                op, oq = pair[1] if (rp, rq) == pair[0] else pair[0]
-                if (rp % 2, rq % 2) not in compat:
-                    return Verdict(
-                        False, 4, m, f"marked resolution {rp}/{rq} is incompatible"
-                    )
-                if (op % 2, oq % 2) in compat:
-                    return Verdict(
-                        False, 4, m,
-                        f"resolution is ambiguous: {op}/{oq} is also compatible",
-                    )
+            # hence p/q is in the tag's sector (an even q has odd p, (1, 0): in both);
+            # so is res, an earlier node held to this tag below; a pair and its mediant
+            # have three parities, a sector two, so the other pair member is outside it
+            if kind == "triple" and (tags[i] != tag or tags[j] != tag):
+                return Verdict(False, 4, m, "triple members carry different tags")
         elif tags[m] is not None:
             return Verdict(False, 4, m, "unoriented node carries a tag")
 
@@ -487,10 +476,17 @@ def certificate_to_json(cert: Certificate) -> dict:
         "kind": cert.kind,
         "ambient": {
             "pd": pd_string(cert.ambient.diagram),
-            "coeffs": list(cert.ambient.coeffs),
+            "coeffs": list(_model(cert)),
         },
         "nodes": nodes,
     }
+
+
+def _model(cert: Certificate) -> tuple[int, int]:
+    """The ambient's model, which every certificate file records."""
+    if cert.ambient.coeffs is None:
+        raise CertificateError("an ambient without a model cannot be written")
+    return cert.ambient.coeffs
 
 
 def certificate_from_json(data: dict) -> Certificate:
@@ -599,7 +595,7 @@ def certificate_text(cert: Certificate) -> str:
             f'    {{\n      "frac": "{p}/{q}",\n      "just": {{\n        {body}\n'
             f"      }}{orient}\n    }}"
         )
-    a, b = cert.ambient.coeffs
+    a, b = _model(cert)
     listing = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
     return (
         f'{{\n  "ambient": {{\n    "coeffs": [\n      {a},\n      {b}\n    ],\n'
@@ -609,8 +605,9 @@ def certificate_text(cert: Certificate) -> str:
 
 
 def save_certificate(cert: Certificate, path: str) -> None:
+    text = certificate_text(cert)  # a refusal leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(certificate_text(cert))
+        fh.write(text)
 
 
 def load_certificate(path: str) -> Certificate:

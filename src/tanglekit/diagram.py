@@ -277,14 +277,19 @@ class LinkDiagram(_Record):
                 dirs[e] = (frm, to) if flag == 1 else (to, frm)
         return dirs
 
+    def _heads(self) -> set[int]:
+        """The head position of every edge under the stored orientation."""
+        if self.orientation is None:
+            raise PDError("diagram is not oriented")
+        units = zip(self.orientation, self._units)
+        return {to if flag == 1 else frm for flag, unit in units for _, frm, to in unit}
+
     def incoming_positions(self, v: int) -> set[int]:
         """Entries of tuple v (crossings first, then slots) whose edges are
         directed into it: into the crossing, or into the slot's deleted disk."""
         if not 0 <= v < len(self.crossings) + len(self.slots):
             raise PDError(f"tuple index {v} out of range")
-        dirs = self.edge_directions()
-        labels = self._index[0]
-        return {i for i in range(4) if dirs[labels[4 * v + i]][1] == 4 * v + i}
+        return _entering(self._heads(), v)
 
     def with_orientation(self, flags: tuple[int, ...] | None) -> "LinkDiagram":
         """This diagram with other flags, and no label pass: the checked
@@ -299,6 +304,11 @@ class LinkDiagram(_Record):
 
 
 # -- construction helpers ----------------------------------------------------
+
+
+def _entering(heads: set[int], v: int) -> set[int]:
+    """Entries of tuple v that are edge heads (see `incoming_positions`)."""
+    return {i for i in range(4) if 4 * v + i in heads}
 
 
 def _inherit_orientation(new: LinkDiagram, heads: dict[int, int]) -> tuple[int, ...]:
@@ -432,6 +442,7 @@ def _surgery(
     slots: Collection[Quad],
     joins: Iterable[tuple[int, int]],
     where: Callable[[int], int | None] | None,
+    heads: set[int] | None = None,
 ) -> LinkDiagram:
     """Build `crossings` and `slots` with each edge-label pair in `joins`
     identified; a join that closes a cycle leaves a free loop.
@@ -441,7 +452,8 @@ def _surgery(
     constructor, which also rotates the crossings). The result does not go
     through the constructor; `_check_twice` checks its labels in one pass.
 
-    For an oriented `d`, `where(q)` places each old position in the new
+    For an oriented `d`, `heads` are its edge heads (`d._heads()`, which the
+    caller has read) and `where(q)` places each old position in the new
     tuples (before canonical rotation), or gives None where the surgery
     removed it. Each old edge hands its head, where it survives, to
     the final label at that position: a label that is not a free loop keeps
@@ -464,17 +476,17 @@ def _surgery(
     )
     if d.orientation is None:
         return new
-    heads: dict[int, int] = {}
-    for _, head in d.edge_directions().values():
+    moved: dict[int, int] = {}
+    for head in heads:
         q = where(head)
         if q is not None:
             v = q >> 2
             # a crossing stored rotated by two moves each entry by two
-            heads[flat[q]] = q ^ 2 if v < k and crossings[v] != tuples[v] else q
-    return new.with_orientation(_inherit_orientation(new, heads))
+            moved[flat[q]] = q ^ 2 if v < k and crossings[v] != tuples[v] else q
+    return new.with_orientation(_inherit_orientation(new, moved))
 
 
-def _smooth(d: LinkDiagram, i: int, which: int) -> LinkDiagram:
+def _smooth(d: LinkDiagram, i: int, which: int, heads: set[int] | None) -> LinkDiagram:
     """Remove crossing i, joining its edges the chosen way (0 or 1)."""
     t = d.crossings[i]
     joins = [(t[0], t[3]), (t[1], t[2])] if which == 0 else [(t[0], t[1]), (t[2], t[3])]
@@ -484,7 +496,8 @@ def _smooth(d: LinkDiagram, i: int, which: int) -> LinkDiagram:
             return None
         return q if q < 4 * i else q - 4
 
-    return _surgery(d, d.crossings[:i] + d.crossings[i + 1 :], d.slots, joins, where)
+    rest = d.crossings[:i] + d.crossings[i + 1 :]
+    return _surgery(d, rest, d.slots, joins, where, heads)
 
 
 def resolve(d: LinkDiagram, site: "CrossingSite | int", which: int) -> LinkDiagram:
@@ -498,7 +511,7 @@ def resolve(d: LinkDiagram, site: "CrossingSite | int", which: int) -> LinkDiagr
         raise PDError("smoothing must be 0 or 1")
     if d.is_oriented:
         raise PDError("resolve acts on unoriented diagrams; see oriented_resolve")
-    return _smooth(d, i, which)
+    return _smooth(d, i, which, None)
 
 
 def crossing_change(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
@@ -517,7 +530,8 @@ def crossing_change(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
         # old entry p sits at entry p - 1 of the flipped tuple
         return 4 * i + (q + 3) % 4 if q >> 2 == i else q
 
-    return _surgery(d, crossings, d.slots, (), where)
+    heads = d._heads() if d.is_oriented else None
+    return _surgery(d, crossings, d.slots, (), where, heads)
 
 
 def oriented_resolve(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
@@ -528,14 +542,15 @@ def oriented_resolve(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
         raise PDError("diagram is not oriented")
     if not 0 <= i < len(d.crossings):
         raise PDError(f"crossing index {i} out of range")
-    ins = d.incoming_positions(i)
+    heads = d._heads()
+    ins = _entering(heads, i)
     if ins in ({0, 3}, {1, 2}):
         which = 1
     elif ins in ({0, 1}, {2, 3}):
         which = 0
     else:  # pragma: no cover - tracing guarantees one under-, one over-entry
         raise PDError(f"inconsistent directions at crossing {i}: {ins}")
-    return _smooth(d, i, which)
+    return _smooth(d, i, which, heads)
 
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
@@ -607,10 +622,11 @@ def fill_slot(
     glue = [s + shift for s in stubs]
     slot = d.slots[slot_index]
     keep_slots = d.slots[:slot_index] + d.slots[slot_index + 1 :]
-    where = None
+    where = heads = None
     if d.orientation is not None:
         base = 4 * len(d.crossings)
-        entering = d.incoming_positions(len(d.crossings) + slot_index)
+        heads = d._heads()
+        entering = _entering(heads, len(d.crossings) + slot_index)
         for p, q in combinations(range(4), 2):
             if glue[p] == glue[q] and (p in entering) == (q in entering):
                 raise PDError(f"tangle strand joins like-directed slot ends {p}, {q}")
@@ -627,4 +643,4 @@ def fill_slot(
                 return q + added
             return inner.get(glue[q - cut]) if q < cut + 4 else q + added - 4
 
-    return _surgery(d, [*d.crossings, *add], keep_slots, zip(slot, glue), where)
+    return _surgery(d, [*d.crossings, *add], keep_slots, zip(slot, glue), where, heads)

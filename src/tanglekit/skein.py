@@ -44,7 +44,6 @@ __all__ = [
     "compatible_classes_for_slot",
     "orientation_compatible",
     "fit_coefficients",
-    "fitted",
     "zero_locus",
     "insertion_det",
     "two_slot_scan",
@@ -98,8 +97,9 @@ class TangleTemplate(_Record):
         if not diagram.slots:
             raise TemplateError("template diagram has no slots")
         if coeffs is not None and (
-            len(diagram.slots), type(coeffs), *map(type, coeffs)
-        ) != (1, tuple, int, int):
+            type(coeffs) is not tuple
+            or (len(diagram.slots), *map(type, coeffs)) != (1, int, int)
+        ):
             raise TemplateError("a model is a pair of integers on a one-slot template")
         _Record.__init__(self, diagram, coeffs)
 
@@ -267,10 +267,6 @@ def fit_coefficients(t: TangleTemplate) -> tuple[int, int]:
                 f"linear model (a={a}, b={b}) fails at {f}: {got} != {want}"
             )
     return (a, b)
-
-
-def fitted(t: TangleTemplate) -> TangleTemplate:
-    return TangleTemplate(t.diagram, fit_coefficients(t))
 
 
 def zero_locus(t: TangleTemplate) -> TangleFraction:

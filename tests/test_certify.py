@@ -34,7 +34,6 @@ from tanglekit.corpus import bundled_templates
 from tanglekit.diagram import parse_pd
 from tanglekit.skein import (
     TangleTemplate,
-    TemplateError,
     figure8_template,
     reduced_fractions,
     splice,
@@ -261,7 +260,9 @@ class TestForgeries:
         v = verify_certificate(forged)
         assert not v.accepted and v.check == 1
 
-    def test_wrong_resolution_marker_rejected_check4(self):
+    def test_wrong_resolution_marker_rejected_check2(self):
+        # marking the partner 0/1 makes 1/2 the partner, and 2/5 and 1/2 are
+        # not the mediant and partner of any Farey pair
         c = oriented_span_certificate(OrientedTarget(F("2/5"), ANTIPARALLEL))
         nodes = list(c.nodes)
         last = nodes[-1]
@@ -270,7 +271,167 @@ class TestForgeries:
         nodes[-1] = CertNode(last.frac, last.orient, ("triple", i, j, other))
         forged = Certificate(ORIENTED, tuple(nodes), c.ambient)
         v = verify_certificate(forged)
-        assert not v.accepted and v.check in (2, 4)
+        assert v == Verdict(False, 2, 2, "2/5 and 1/2 do not span a Farey pair")
+
+
+def _two_fifths_json(tag=ANTIPARALLEL):
+    """The 2/5 certificate as JSON: oriented (0/1 unknot, 1/2 hopf, 2/5
+    triple [0, 1] with resolution 1) unless tag is None."""
+    if tag is None:
+        return certificate_to_json(span_certificate(F("2/5")))
+    return certificate_to_json(oriented_span_certificate(OrientedTarget(F("2/5"), tag)))
+
+
+def _set(path, value):
+    """An edit of _two_fifths_json(): the value at a key path."""
+
+    def edit(data):
+        box = data
+        for key in path[:-1]:
+            box = box[key]
+        box[path[-1]] = value
+
+    return edit
+
+
+def _three_integers(data):
+    data["nodes"] = [
+        {"frac": "1/1", "just": {"base": "unknot"}, "orient": PARALLEL},
+        {"frac": "3/1", "just": {"base": "unknot"}, "orient": PARALLEL},
+        {"frac": "7/3", "orient": PARALLEL,
+         "just": {"triple": [0, 1], "resolution": 1}},
+    ]
+
+
+# (name, tag of the 2/5 certificate edited, edit, verdict); each reaches a
+# REJECT branch of verify_certificate that a generated certificate never does
+BRANCH_FORGERIES = [
+    ("kind", ANTIPARALLEL, _set(["kind"], "sideways"),
+     Verdict(False, 0, None, "unknown kind 'sideways'")),
+    ("empty", ANTIPARALLEL, _set(["nodes"], []),
+     Verdict(False, 0, None, "empty certificate")),
+    ("forced-tag", ANTIPARALLEL, _set(["nodes", 0, "orient"], PARALLEL),
+     Verdict(False, 4, 0, "0/1 cannot be parallel")),
+    ("parent-tag", ANTIPARALLEL, _set(["nodes", 1, "orient"], PARALLEL),
+     Verdict(False, 4, 2, "triple members carry different tags")),
+    ("resolution-member", ANTIPARALLEL, _set(["nodes", 1, "frac"], "3/2"),
+     Verdict(False, 2, 2, "marked resolution 3/2 is not a member of the pair")),
+    ("base-name", ANTIPARALLEL, _set(["nodes", 0, "just", "base"], "hopf"),
+     Verdict(False, 5, 0, "0/1 (hopf) is not an unknot or Hopf base")),
+    ("unoriented-tag", None, _set(["nodes", 0, "orient"], PARALLEL),
+     Verdict(False, 4, 0, "unoriented node carries a tag")),
+    ("integer-halves", ANTIPARALLEL, _three_integers,
+     Verdict(False, 2, 2, "7/3 and 1/1 do not span a Farey pair")),
+]
+
+
+class TestVerifierBranches:
+    """The verify_certificate branches that generated certificates never
+    reach, each pinned to its verdict."""
+
+    @pytest.mark.parametrize(
+        "tag,edit,verdict", [f[1:] for f in BRANCH_FORGERIES],
+        ids=[f[0] for f in BRANCH_FORGERIES],
+    )
+    def test_json_forgery(self, tag, edit, verdict):
+        data = _two_fifths_json(tag)
+        edit(data)
+        assert verify_certificate(certificate_from_json(data)) == verdict
+
+    def test_unknown_justification_rejected_check1(self):
+        cert = Certificate(
+            UNORIENTED, [CertNode(F("1/1"), None, ("lemma", 0))], figure8_template()
+        )
+        assert verify_certificate(cert) == Verdict(
+            False, 1, 0, "unknown justification 'lemma'"
+        )
+
+    @pytest.mark.parametrize("tag", [PARALLEL, ANTIPARALLEL])
+    def test_oriented_ambient_is_refitted(self, tag):
+        ambient = figure8_template(tag)
+        assert ambient.diagram.is_oriented
+        cert = oriented_span_certificate(OrientedTarget(F("7/12"), tag), ambient)
+        assert cert.ambient == ambient
+        assert verify_certificate(cert) == Verdict(True)
+        data = certificate_to_json(cert)
+        data["ambient"]["coeffs"] = [0, 1]
+        v = verify_certificate(certificate_from_json(data))
+        assert (v.accepted, v.check) == (False, 0)
+
+    def test_unknown_target_orientation_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown orientation 'sideways'"):
+            OrientedTarget(F("1/3"), "sideways")
+
+
+def _mutated_oriented(rng):
+    """An oriented certificate with one to three random edits of its tags (one
+    or all), resolution markers, parents, fractions or node list."""
+    tag = rng.choice((PARALLEL, ANTIPARALLEL))
+    while True:
+        f = TangleFraction.make(rng.randint(-40, 40), rng.randint(1, 24))
+        if f.q % 2 == 0 or (PARALLEL if f.p % 2 else ANTIPARALLEL) == tag:
+            break
+    ambient = TEMPLATES[rng.choice(("figure8", "twist", "trefoil_sum"))]
+    try:
+        cert = oriented_span_certificate(OrientedTarget(f, tag), ambient)
+    except CertificateError:
+        return None
+    fracs, tags, justs = list(zip(cert.ps, cert.qs)), list(cert.tags), list(cert.justs)
+    for _ in range(rng.randint(1, 3)):
+        n = len(fracs)
+        m, k = rng.randrange(n), rng.randrange(n)
+        edit = rng.randrange(6)
+        if edit == 0:
+            tags[m] = rng.choice((PARALLEL, ANTIPARALLEL))
+        elif edit == 1 and justs[m][0] == "triple":
+            _, i, j, res = justs[m]
+            justs[m] = ("triple", i, j, j if res == i else i)
+        elif edit == 2 and justs[m][0] == "triple":
+            _, i, j, res = justs[m]
+            i = rng.randrange(m)
+            justs[m] = ("triple", i, j, rng.choice((i, j)))
+        elif edit == 3:
+            fracs[m] = fracs[k]
+        elif edit == 4:
+            for col in (fracs, tags, justs):
+                col.append(col[m])
+        elif edit == 5:
+            tags = [ANTIPARALLEL if tags[m] == PARALLEL else PARALLEL] * n
+    nodes = [
+        CertNode(TangleFraction(p, q), t, j) for (p, q), t, j in zip(fracs, tags, justs)
+    ]
+    return Certificate(ORIENTED, nodes, ambient)
+
+
+def test_accepted_resolutions_are_the_pair_member_in_the_sector():
+    """On mutated oriented certificates that verify, every triple's marked
+    resolution suits its node's orientation and the other pair member does
+    not, by the connectivity classes of the tangles, which the verifier
+    never reads."""
+    rng = random.Random(21)
+    accepted = triples = 0
+    for _ in range(3000):
+        cert = _mutated_oriented(rng)
+        if cert is None or not verify_certificate(cert).accepted:
+            continue
+        accepted += 1
+        for node in cert.nodes:
+            if node.just[0] != "triple":
+                continue
+            _, i, j, res = node.just
+            f, x = node.frac, cert.nodes[j if res == i else i].frac
+            members = {
+                TangleFraction.make((f.p + s * x.p) // 2, (f.q + s * x.q) // 2)
+                for s in (1, -1)
+            }
+            marked = cert.nodes[res].frac
+            assert marked in members
+            (other,) = members - {marked}
+            sector = compatible_classes(node.orient)
+            assert connectivity(marked) in sector
+            assert connectivity(other) not in sector
+            triples += 1
+    assert accepted >= 300 and triples >= 1000, (accepted, triples)
 
 
 class TestOrientedSpan:
@@ -471,8 +632,21 @@ class TestOneFittedModel:
 
     def test_generators_refuse_an_unfitted_ambient(self):
         unfitted = TangleTemplate(parse_pd("T[1,2,1,2]"))
-        with pytest.raises(TemplateError, match="not fitted"):
+        with pytest.raises(CertificateError, match="one-slot ambient with its model"):
             span_certificate(F("2/5"), unfitted)
+        with pytest.raises(CertificateError, match="one-slot ambient with its model"):
+            oriented_span_certificate(OrientedTarget(F("2/5"), ANTIPARALLEL), unfitted)
+
+    def test_certificate_without_a_model_is_not_written(self, tmp_path):
+        c = span_certificate(F("2/5"))
+        unfitted = Certificate(c.kind, c.nodes, TangleTemplate(parse_pd("T[1,2,1,2]")))
+        path = tmp_path / "c.json"
+        path.write_text("kept")
+        save = lambda c: save_certificate(c, path)  # noqa: E731
+        for write in (certificate_to_json, certificate_text, save):
+            with pytest.raises(CertificateError, match="without a model"):
+                write(unfitted)
+        assert path.read_text() == "kept"
 
     @pytest.mark.parametrize("pd", ["T[1,2,1,2]", "T[1,2,3,4] T[2,1,4,3]"])
     def test_unfitted_ambient_rejects_at_check_0(self, pd):

@@ -12,6 +12,7 @@ from tanglekit.cli import run
 from tanglekit.diagram import parse_pd
 from tanglekit.skein import MAX_SCAN_BOUND, TangleTemplate
 from tanglekit.tangle import TangleFraction
+from test_certify import BRANCH_FORGERIES
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 HOPF = "X[1,4,2,3] X[3,2,4,1]"
@@ -214,6 +215,21 @@ class TestCertifyVerify:
         code, out, _ = invoke(capsys, "verify", str(path))
         assert code == 2
         assert out.startswith("REJECT (check 0") and "fails at -1/2: 0 != 2" in out
+
+    @pytest.mark.parametrize(
+        "tag,edit,verdict", [f[1:] for f in BRANCH_FORGERIES],
+        ids=[f[0] for f in BRANCH_FORGERIES],
+    )
+    def test_forgery_prints_its_verdict_and_exits_2(
+        self, capsys, tmp_path, tag, edit, verdict
+    ):
+        path = tmp_path / "c.json"
+        orient = [] if tag is None else ["--oriented", tag]
+        invoke(capsys, "certify", "2/5", *orient, "-o", str(path))
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        assert invoke(capsys, "verify", str(path)) == (2, f"{verdict}\n", "")
 
     def test_zero_locus_target_is_domain_error(self, capsys):
         assert invoke(capsys, "certify", "1/0")[0] == 1

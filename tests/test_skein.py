@@ -24,7 +24,6 @@ from tanglekit.skein import (
     farey_neighbor,
     figure8_template,
     fit_coefficients,
-    fitted,
     insertion_det,
     mediant,
     oriented_triple,
@@ -115,7 +114,7 @@ class TestFigure8Template:
     def test_fit_is_det_q(self):
         t = TangleTemplate(parse_pd("T[1,2,1,2]"))
         assert fit_coefficients(t) == (1, 0)
-        assert fitted(t).coeffs == (1, 0)
+        assert TangleTemplate(t.diagram, fit_coefficients(t)).coeffs == (1, 0)
 
     def test_insertions(self):
         t = figure8_template()
@@ -159,7 +158,7 @@ class TestOneSlotModel:
             TangleTemplate(NECKLACE2.diagram, ((1, 0), (0, 1)))
 
     @pytest.mark.parametrize(
-        "coeffs", [(1, 2, 3), (1,), ((1, 0),), (), (1.0, 0), (True, 0), [1, 0]]
+        "coeffs", [(1, 2, 3), (1,), ((1, 0),), (), (1.0, 0), (True, 0), [1, 0], 5]
     )
     def test_model_that_is_not_a_pair_of_integers_is_refused(self, coeffs):
         # ((1, 0),) is a tuple holding one pair, not a pair; a float model
@@ -179,7 +178,8 @@ class TestOneSlotModel:
         out = splice(NECKLACE2, 0, F("1/2"))
         assert isinstance(out, TangleTemplate) and out.slot_count == 1
         assert out.coeffs is None
-        assert fitted(out).coeffs == fit_coefficients(out)
+        fit = fit_coefficients(out)
+        assert TangleTemplate(out.diagram, fit).coeffs == fit
 
 
 class TestOrientation:

@@ -291,3 +291,42 @@ class TestTraceCount:
         traces[0] = 0
         assert components(d) == components(d)
         assert traces[0] == 1
+
+
+class TestDirectionReads:
+    """An oriented surgery reads its input's strand directions once: the
+    heads that place a crossing's or slot's entries are the heads it moves."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        count = [0]
+        heads = LinkDiagram._heads
+
+        def counted(d):
+            count[0] += 1
+            return heads(d)
+
+        monkeypatch.setattr(LinkDiagram, "_heads", counted)
+        return count
+
+    @pytest.mark.parametrize("tag", ["parallel", "antiparallel"])
+    def test_each_oriented_surgery_reads_heads_once(self, reads, tag):
+        t, f = figure8_template(tag), TangleFraction(3, 8)
+        reads[0] = 0
+        out = splice(t, 0, f)
+        assert reads[0] == 2  # the slot's compatibility test, then fill_slot
+        compiled = compile_word(fraction_word(f))
+        for step in (
+            lambda: fill_slot(t.diagram, 0, compiled.crossings, compiled.stubs),
+            lambda: oriented_resolve(out, 0),
+            lambda: crossing_change(out, 0),
+        ):
+            reads[0] = 0
+            assert step().is_oriented
+            assert reads[0] == 1
+
+    def test_unoriented_surgery_reads_no_heads(self, reads):
+        out = splice(figure8_template(), 0, TangleFraction(3, 8))
+        resolve(out, 0, 0)
+        crossing_change(out, 0)
+        assert reads[0] == 0
