@@ -55,21 +55,17 @@ _SUBMODULE_NAMES = {
     "skein": (
         "FareyPair",
         "ScanReport",
-        "SkeinTriple",
         "TangleTemplate",
         "TemplateError",
-        "farey_neighbor",
         "figure8_template",
         "fit_coefficients",
         "insertion_det",
         "mediant",
-        "oriented_triple",
         "orientation_compatible",
         "partner",
         "reduced_fractions",
         "splice",
         "two_slot_scan",
-        "unoriented_triple",
         "zero_locus",
     ),
     "tangle": (
@@ -85,7 +81,6 @@ _SUBMODULE_NAMES = {
         "connectivity",
         "fraction_to_cf",
         "fraction_word",
-        "orientation_class",
     ),
 }
 # public name -> the submodule defining it

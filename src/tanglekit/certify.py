@@ -11,8 +11,14 @@ verified skein triple with all members of nonzero determinant:
   node and its partner parent, with the other parent the marked resolution,
   the unique pair member whose endpoint pairing suits the orientation sector.
 
+An orientation tag names a sector, the parities (p mod 2, q mod 2) of the
+insertions it admits; `_SECTOR_PARITIES` is the format's one table of them.
+OrientedTarget refuses a target outside its tag's sector, and the generators
+mark the one Farey parent inside it.
+
 The verifier re-derives every identity with exact integer arithmetic and
-shares no code path with the generators' walk.
+shares no code path with the generators' walk; it does not read the sector
+table, and states the forced-tag rule itself.
 """
 
 from __future__ import annotations
@@ -27,14 +33,7 @@ from .diagram import LinkDiagram, PDError, components, connected_sum, parse_pd
 from . import skein as _skein
 from .skein import TangleTemplate, TemplateError, figure8_template, fit_coefficients
 from .skein import insertion_det, splice
-from .tangle import (
-    ANTIPARALLEL,
-    PARALLEL,
-    TangleFraction,
-    class_parity,
-    compatible_classes,
-    orientation_class,
-)
+from .tangle import ANTIPARALLEL, PARALLEL, TangleFraction
 
 __all__ = [
     "Certificate", "CertNode", "OrientedTarget", "Verdict", "CertificateError",
@@ -50,11 +49,9 @@ ORIENTED = "oriented"
 BASE_UNKNOT = "unknot"
 BASE_HOPF = "hopf"
 
-# (p mod 2, q mod 2) of the insertions each orientation sector admits
-_SECTOR_PARITIES = {
-    tag: frozenset(class_parity(c) for c in compatible_classes(tag))
-    for tag in (PARALLEL, ANTIPARALLEL)
-}
+# the tag table: an odd denominator forces the tag (odd p parallel, even p
+# antiparallel); an even denominator has an odd p, (1, 0), in both sectors
+_SECTOR_PARITIES = {PARALLEL: {(1, 1), (1, 0)}, ANTIPARALLEL: {(0, 1), (1, 0)}}
 
 
 class CertificateError(ValueError):
@@ -79,9 +76,9 @@ class OrientedTarget(_Record):
     def __init__(self, fraction: TangleFraction, orientation: str) -> None:
         if orientation not in (PARALLEL, ANTIPARALLEL):
             raise ValueError(f"unknown orientation {orientation!r}")
-        forced = orientation_class(fraction) if fraction.q % 2 == 1 else None
-        if forced is not None and forced != orientation:
-            raise CertificateError(f"{fraction} admits only the {forced} orientation")
+        if fraction.parity() not in _SECTOR_PARITIES[orientation]:
+            other = ANTIPARALLEL if orientation == PARALLEL else PARALLEL
+            raise CertificateError(f"{fraction} admits only the {other} orientation")
         _Record.__init__(self, fraction, orientation)
 
 
@@ -183,9 +180,8 @@ def _derive(
         raise CertificateError("the infinity insertion has no certificate")
     if insertion_det(ambient, target) == 0:
         raise CertificateError(f"target {target} is the ambient zero locus")
+    # an oriented target is in its sector: OrientedTarget refuses one outside it
     compat = _SECTOR_PARITIES[tag] if tag else None
-    if compat and target.parity() not in compat:
-        raise CertificateError(f"{target} is not {tag}-compatible")
     n = target.p // target.q
     runs = _runs(target.p - n * target.q, target.q)
     if 3 * _size(n, runs, compat) > MAX_CERTIFICATE_STEPS:
@@ -252,7 +248,7 @@ def _runs(r: int, k: int) -> list[int]:
     return runs
 
 
-def _size(n: int, runs: list[int], compat: frozenset | None) -> int:
+def _size(n: int, runs: list[int], compat: set | None) -> int:
     """Node count of the certificate a walk emits, counted from its runs."""
     if compat is None:
         return 2 + sum(runs) if runs else 1
@@ -293,7 +289,8 @@ def verify_certificate(cert: Certificate) -> Verdict:
     0. the recorded ambient coefficients match a fresh fit of its diagram
        (the fit is memoized by diagram value and the determinant in use;
        the comparison runs on every call);
-    1. DAG order: triples reference strictly earlier nodes;
+    1. each justification is a base or a triple of its length, and triples
+       reference strictly earlier nodes (DAG order);
     2. exact mediant/Farey identities at every triple;
     3. nonzero determinant of every node under the ambient model;
     4. (oriented) every tag is valid, forced by the fraction where the
@@ -326,8 +323,8 @@ def verify_certificate(cert: Certificate) -> Verdict:
     ps, qs, tags = cert.ps, cert.qs, cert.tags
     for m, just in enumerate(cert.justs):
         p, q = ps[m], qs[m]
-        kind = just[0]
-        if kind == "triple":
+        kind = just[0] if just else None
+        if kind == "triple" and len(just) == 4:
             _, i, j, res = just
             if not (0 <= i < m and 0 <= j < m and i != j):
                 return Verdict(False, 1, m, "triple must reference earlier nodes")
@@ -351,8 +348,10 @@ def verify_certificate(cert: Certificate) -> Verdict:
                         False, 2, m,
                         f"marked resolution {rp}/{rq} is not a member of the pair",
                     )
-        elif kind != "base":
+        elif kind not in ("base", "triple"):
             return Verdict(False, 1, m, f"unknown justification {kind!r}")
+        elif kind == "triple" or len(just) != 2:
+            return Verdict(False, 1, m, f"malformed {kind} justification {just!r}")
 
         if b * p == a * q:
             return Verdict(False, 3, m, f"{p}/{q} has determinant zero")
@@ -460,6 +459,7 @@ def connected_sum_certificate(
 def certificate_to_json(cert: Certificate) -> dict:
     from .diagram import pd_string
 
+    model = _model(cert)
     nodes = []
     for p, q, tag, just in zip(cert.ps, cert.qs, cert.tags, cert.justs):
         if just[0] == "base":
@@ -476,16 +476,22 @@ def certificate_to_json(cert: Certificate) -> dict:
         "kind": cert.kind,
         "ambient": {
             "pd": pd_string(cert.ambient.diagram),
-            "coeffs": list(_model(cert)),
+            "coeffs": list(model),
         },
         "nodes": nodes,
     }
 
 
 def _model(cert: Certificate) -> tuple[int, int]:
-    """The ambient's model, which every certificate file records."""
+    """The ambient's model, which every certificate file records, once each
+    justification has a form in the file: ("base", name) or
+    ("triple", i, j, resolution)."""
     if cert.ambient.coeffs is None:
         raise CertificateError("an ambient without a model cannot be written")
+    for just in cert.justs:
+        if not (len(just) == 4 and just[0] == "triple"
+                or len(just) == 2 and just[0] == "base"):
+            raise CertificateError(f"justification {just!r} cannot be written")
     return cert.ambient.coeffs
 
 
@@ -574,6 +580,7 @@ def certificate_text(cert: Certificate) -> str:
     """
     from .diagram import pd_string
 
+    a, b = _model(cert)
     quoted: dict[str, str] = {}
 
     def quote(name: str) -> str:
@@ -595,7 +602,6 @@ def certificate_text(cert: Certificate) -> str:
             f'    {{\n      "frac": "{p}/{q}",\n      "just": {{\n        {body}\n'
             f"      }}{orient}\n    }}"
         )
-    a, b = _model(cert)
     listing = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
     return (
         f'{{\n  "ambient": {{\n    "coeffs": [\n      {a},\n      {b}\n    ],\n'

@@ -126,18 +126,17 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "skein":
-        from .skein import FareyPair, partner, unoriented_triple
+        from .skein import FareyPair, mediant, partner
         from .tangle import TangleFraction
 
         pair = FareyPair(
             TangleFraction.parse(args.f1), TangleFraction.parse(args.f2)
         )
-        tri = unoriented_triple(pair)
-        part = partner(pair)
+        med, part = mediant(pair), partner(pair)
         if args.porcelain:
-            print(f"{tri.mediant} | {part}")
+            print(f"{med} | {part}")
         else:
-            print(f"mediant {tri.mediant}")
+            print(f"mediant {med}")
             print(f"partner {part}")
         return 0
 

@@ -67,7 +67,12 @@ class CrossingSite(_Record):
 
 
 def _site_index(site: "CrossingSite | int") -> int:
-    return site.index if isinstance(site, CrossingSite) else int(site)
+    """The crossing index of a site, which must be an int, bare or in a
+    CrossingSite: a float or bool would name a crossing it only rounds to."""
+    i = site.index if isinstance(site, CrossingSite) else site
+    if type(i) is not int:
+        raise PDError(f"crossing site must be an int, not {type(i).__name__}")
+    return i
 
 
 def _label_rule(

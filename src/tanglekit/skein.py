@@ -6,6 +6,11 @@ mediant differs from (a-c)/(b-d) by a single crossing change. A template is a
 diagram with tangle slots; a one-slot template has integers (a, b) with
 det(splice(p/q)) = |b*p - a*q| for every insertion, so at most one insertion
 can have determinant zero.
+
+An oriented template admits at a slot only the insertions whose endpoint
+pairing suits the strand directions there. `orientation_compatible` is this
+layer's one statement of that rule: `splice` refuses what it refuses, and an
+oriented skein triple's resolution is the pair member it admits.
 """
 
 from __future__ import annotations
@@ -31,17 +36,11 @@ from .tangle import (
 
 __all__ = [
     "FareyPair",
-    "SkeinTriple",
     "TangleTemplate",
     "TemplateError",
-    "farey_neighbor",
     "mediant",
     "partner",
-    "unoriented_triple",
-    "oriented_triple",
     "splice",
-    "slot_io",
-    "compatible_classes_for_slot",
     "orientation_compatible",
     "fit_coefficients",
     "zero_locus",
@@ -65,23 +64,6 @@ class FareyPair(_Record):
         if abs(f1.p * f2.q - f1.q * f2.p) != 1:
             raise ValueError(f"{f1} and {f2} are not Farey neighbors")
         _Record.__init__(self, f1, f2)
-
-
-class SkeinTriple(_Record):
-    """Fractions of an unoriented (pair + mediant) or oriented skein triple.
-
-    For the oriented kind, `partner` is the crossing-change companion of the
-    mediant and `resolution` is whichever pair member the orientation selects.
-    """
-
-    __slots__ = _fields = ("kind", "f1", "f2", "mediant", "partner", "resolution")
-
-    def __init__(
-        self, kind: str, f1: TangleFraction, f2: TangleFraction,
-        mediant: TangleFraction, partner: TangleFraction | None = None,
-        resolution: TangleFraction | None = None,
-    ) -> None:
-        _Record.__init__(self, kind, f1, f2, mediant, partner, resolution)
 
 
 class TangleTemplate(_Record):
@@ -111,16 +93,6 @@ class TangleTemplate(_Record):
         return TangleTemplate(self.diagram.with_orientation(flags), self.coeffs)
 
 
-def farey_neighbor(f: TangleFraction) -> TangleFraction:
-    """A canonical reduced f' with |p*q' - q*p'| = 1: the least q' >= 0
-    solving p*q' = 1 (mod q), found by the extended Euclidean algorithm."""
-    if f.q == 0:
-        return TangleFraction(0, 1)
-    qq = pow(f.p, -1, f.q) if f.q > 1 else 0
-    pp = (f.p * qq - 1) // f.q
-    return TangleFraction.make(pp, qq)
-
-
 def mediant(pair: FareyPair) -> TangleFraction:
     """(a+c)/(b+d); automatically reduced for Farey neighbors."""
     return TangleFraction.make(pair.f1.p + pair.f2.p, pair.f1.q + pair.f2.q)
@@ -129,10 +101,6 @@ def mediant(pair: FareyPair) -> TangleFraction:
 def partner(pair: FareyPair) -> TangleFraction:
     """(a-c)/(b-d), the crossing-change companion of the mediant."""
     return TangleFraction.make(pair.f1.p - pair.f2.p, pair.f1.q - pair.f2.q)
-
-
-def unoriented_triple(pair: FareyPair) -> SkeinTriple:
-    return SkeinTriple("unoriented", pair.f1, pair.f2, mediant(pair))
 
 
 # -- splicing ----------------------------------------------------------------
@@ -173,44 +141,17 @@ def splice(t: TangleTemplate, slot: int, f: TangleFraction):
 _PAIRINGS = {AB_CD: ((0, 1), (2, 3)), AC_BD: ((0, 2), (1, 3)), AD_BC: ((0, 3), (1, 2))}
 
 
-def slot_io(t: TangleTemplate, slot: int) -> tuple[str, str, str, str]:
-    """Per-endpoint flow at a slot of an oriented template: 'in' where the
-    strand runs into the deleted disk, 'out' where it leaves."""
+def orientation_compatible(t: TangleTemplate, slot: int, f: TangleFraction) -> bool:
+    """Whether f's endpoint pairing joins each endpoint where a strand runs
+    into the slot's disk to one where a strand leaves it: the rule that picks
+    an oriented skein triple's resolution. Two of the three pairings pass at
+    a slot with two strands in and two out."""
     if not 0 <= slot < t.slot_count:
         raise TemplateError(f"slot {slot} out of range")
     if not t.diagram.is_oriented:
         raise TemplateError("template is not oriented")
     ins = t.diagram.incoming_positions(len(t.diagram.crossings) + slot)
-    return tuple("in" if p in ins else "out" for p in range(4))
-
-
-def compatible_classes_for_slot(t: TangleTemplate, slot: int) -> frozenset[str]:
-    """Connectivity classes whose endpoint pairing joins each entering
-    endpoint to a leaving one; exactly two of three for a two-in-two-out slot."""
-    io = slot_io(t, slot)
-    ok = set()
-    for cls, pairs in _PAIRINGS.items():
-        if all(io[i] != io[j] for i, j in pairs):
-            ok.add(cls)
-    return frozenset(ok)
-
-
-def orientation_compatible(t: TangleTemplate, slot: int, f: TangleFraction) -> bool:
-    return connectivity(f) in compatible_classes_for_slot(t, slot)
-
-
-def oriented_triple(pair: FareyPair, t: TangleTemplate, slot: int) -> SkeinTriple:
-    """Oriented skein triple at a slot: (mediant, crossing-change partner,
-    the unique orientation-compatible resolution among the pair)."""
-    med = mediant(pair)
-    par = partner(pair)
-    compat = compatible_classes_for_slot(t, slot)
-    if connectivity(med) not in compat:
-        raise TemplateError(f"mediant {med} is not orientation compatible")
-    picks = [f for f in (pair.f1, pair.f2) if connectivity(f) in compat]
-    if len(picks) != 1:  # pragma: no cover - classes of a triple are distinct
-        raise TemplateError("expected exactly one compatible resolution")
-    return SkeinTriple("oriented", pair.f1, pair.f2, med, par, picks[0])
+    return all((i in ins) != (j in ins) for i, j in _PAIRINGS[connectivity(f)])
 
 
 # -- determinant model ---------------------------------------------------------

@@ -31,8 +31,6 @@ __all__ = [
     "compile_word",
     "fraction_word",
     "connectivity",
-    "orientation_class",
-    "compatible_classes",
     "PARALLEL",
     "ANTIPARALLEL",
     "AB_CD",
@@ -49,7 +47,6 @@ AC_BD = "AC|BD"
 AD_BC = "AD|BC"
 
 _CLASS_BY_PARITY = {(0, 1): AB_CD, (1, 0): AC_BD, (1, 1): AD_BC}
-_PARITY_BY_CLASS = {v: k for k, v in _CLASS_BY_PARITY.items()}
 
 
 @total_ordering
@@ -59,6 +56,8 @@ class TangleFraction(_Record):
     __slots__ = _fields = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
+        if type(p) is not int or type(q) is not int:  # a bool is an int, too
+            raise ValueError("fraction terms must be integers")
         if q < 0:
             raise ValueError("denominator must be >= 0 after normalization")
         if q == 0 and p != 1:
@@ -309,32 +308,3 @@ def connectivity(f: TangleFraction) -> str:
     """Endpoint pairing of the tangle p/q, read off the numerator/denominator
     parities: (0,1) joins a-b|c-d, (1,0) joins a-c|b-d, (1,1) joins a-d|b-c."""
     return _CLASS_BY_PARITY[f.parity()]
-
-
-def class_parity(cls: str) -> tuple[int, int]:
-    return _PARITY_BY_CLASS[cls]
-
-
-def orientation_class(f: TangleFraction) -> str | None:
-    """Strand-orientation constraint for a denominator-odd tangle: even
-    numerator forces antiparallel strands, odd forces parallel. Denominator-even
-    tangles are unconstrained (None): their strands lie on different components.
-    """
-    if f.q % 2 == 0:
-        return None
-    return ANTIPARALLEL if f.p % 2 == 0 else PARALLEL
-
-
-_PARALLEL_CLASSES = frozenset((AD_BC, AC_BD))
-_ANTIPARALLEL_CLASSES = frozenset((AB_CD, AC_BD))
-
-
-def compatible_classes(tag: str) -> frozenset[str]:
-    """Connectivity classes insertable into the default closure for a given
-    relative orientation of its two closure arcs. The a-c/b-d class is
-    compatible either way; the other two split between the orientations."""
-    if tag == PARALLEL:
-        return _PARALLEL_CLASSES
-    if tag == ANTIPARALLEL:
-        return _ANTIPARALLEL_CLASSES
-    raise ValueError(f"unknown orientation tag: {tag!r}")

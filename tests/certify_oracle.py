@@ -6,10 +6,12 @@ derives each node's Farey parents from a modular inverse."""
 from __future__ import annotations
 
 from tanglekit.certify import (
+    ANTIPARALLEL,
     BASE_HOPF,
     BASE_UNKNOT,
     MAX_CERTIFICATE_STEPS,
     ORIENTED,
+    PARALLEL,
     UNORIENTED,
     _SECTOR_PARITIES,
     CertNode,
@@ -43,7 +45,8 @@ def _derive(
         raise CertificateError(f"target {target} is the ambient zero locus")
     compat = _SECTOR_PARITIES[tag] if tag else None
     if compat and target.parity() not in compat:
-        raise CertificateError(f"{target} is not {tag}-compatible")
+        other = ANTIPARALLEL if tag == PARALLEL else PARALLEL
+        raise CertificateError(f"{target} admits only the {other} orientation")
     a, b = ambient.coeffs
     nodes: list[CertNode] = []
     # the recursion runs on reduced (p, q) pairs; a fraction is built only

@@ -1,7 +1,9 @@
 """Test-only oracles of the tangle layer, kept apart from the library, which
 inserts tangles by fraction only: strand tracing, aligned compilations of skein
 triples, insertion of compiled crossings straight into a slot, the pairwise
-two-slot scan, and the component-merging skein step."""
+two-slot scan, the component-merging skein step, and the class-table
+statements of the orientation rule that the library's one slot query and one
+tag table replaced."""
 
 from dataclasses import dataclass
 
@@ -11,19 +13,75 @@ from tanglekit.diagram import LinkDiagram, fill_slot
 from tanglekit.skein import (
     FareyPair,
     ScanReport,
-    SkeinTriple,
     TangleTemplate,
     TemplateError,
-    compatible_classes_for_slot,
-    farey_neighbor,
     mediant,
+    orientation_compatible,
     reduced_fractions,
     splice,
     zero_locus,
 )
-from tanglekit.tangle import AB_CD, AC_BD, AD_BC, CompiledTangle, TangleFraction
-from tanglekit.tangle import TangleWord, compile_word, connectivity, fraction_to_cf
-from tanglekit.tangle import word_fraction
+from tanglekit.tangle import AB_CD, AC_BD, AD_BC, ANTIPARALLEL, PARALLEL
+from tanglekit.tangle import CompiledTangle, TangleFraction, TangleWord, compile_word
+from tanglekit.tangle import fraction_to_cf, word_fraction
+
+
+def farey_neighbor(f: TangleFraction) -> TangleFraction:
+    """A canonical reduced f' with |p*q' - q*p'| = 1: the least q' >= 0
+    solving p*q' = 1 (mod q), found by the extended Euclidean algorithm."""
+    if f.q == 0:
+        return TangleFraction(0, 1)
+    qq = pow(f.p, -1, f.q) if f.q > 1 else 0
+    pp = (f.p * qq - 1) // f.q
+    return TangleFraction.make(pp, qq)
+
+
+# -- the orientation rule as class tables ----------------------------------------
+
+_PAIRINGS = {AB_CD: ((0, 1), (2, 3)), AC_BD: ((0, 2), (1, 3)), AD_BC: ((0, 3), (1, 2))}
+
+
+def slot_io(t: TangleTemplate, slot: int) -> tuple[str, str, str, str]:
+    """Per-endpoint flow at a slot of an oriented template: 'in' where the
+    strand runs into the deleted disk, 'out' where it leaves."""
+    if not 0 <= slot < t.slot_count:
+        raise TemplateError(f"slot {slot} out of range")
+    if not t.diagram.is_oriented:
+        raise TemplateError("template is not oriented")
+    ins = t.diagram.incoming_positions(len(t.diagram.crossings) + slot)
+    return tuple("in" if p in ins else "out" for p in range(4))
+
+
+def compatible_classes_for_slot(t: TangleTemplate, slot: int) -> frozenset[str]:
+    """Connectivity classes whose endpoint pairing joins each entering
+    endpoint to a leaving one; exactly two of three for a two-in-two-out slot."""
+    io = slot_io(t, slot)
+    ok = set()
+    for cls, pairs in _PAIRINGS.items():
+        if all(io[i] != io[j] for i, j in pairs):
+            ok.add(cls)
+    return frozenset(ok)
+
+
+def orientation_class(f: TangleFraction) -> str | None:
+    """Strand-orientation constraint for a denominator-odd tangle: even
+    numerator forces antiparallel strands, odd forces parallel. Denominator-even
+    tangles are unconstrained (None): their strands lie on different components.
+    """
+    if f.q % 2 == 0:
+        return None
+    return ANTIPARALLEL if f.p % 2 == 0 else PARALLEL
+
+
+def compatible_classes(tag: str) -> frozenset[str]:
+    """Connectivity classes insertable into the default closure for a given
+    relative orientation of its two closure arcs. The a-c/b-d class is
+    compatible either way; the other two split between the orientations."""
+    if tag == PARALLEL:
+        return frozenset((AD_BC, AC_BD))
+    if tag == ANTIPARALLEL:
+        return frozenset((AB_CD, AC_BD))
+    raise ValueError(f"unknown orientation tag: {tag!r}")
 
 
 def trace_connectivity(t: CompiledTangle) -> str:
@@ -170,9 +228,23 @@ def brute_two_slot_scan(
     return ScanReport(bound, tuple(records))
 
 
+@dataclass(frozen=True)
+class MergingTriple:
+    """A component-merging skein triple: the input f, its companions C_m
+    (f2) and C_{m+1} (mediant), and, for the oriented kind, the crossing
+    change C_{m-1} (partner) and the resolution, which is f itself."""
+
+    kind: str
+    f1: TangleFraction
+    f2: TangleFraction
+    mediant: TangleFraction
+    partner: TangleFraction | None = None
+    resolution: TangleFraction | None = None
+
+
 def component_reduction_step(
     t: TangleTemplate, slot: int, f: TangleFraction, m: int = 0
-) -> SkeinTriple:
+) -> MergingTriple:
     """The merging triple (f, C_m, C_{m+1}) with C_m = (p'+mp)/(q'+mq) for a
     canonical neighbor p'/q', taking the least m >= the given one for which
     both companions miss the zero locus; the three endpoint pairings are
@@ -182,8 +254,7 @@ def component_reduction_step(
     nb = farey_neighbor(f)
 
     oriented = t.diagram.is_oriented
-    compat = compatible_classes_for_slot(t, slot) if oriented else None
-    if oriented and connectivity(f) not in compat:
+    if oriented and not orientation_compatible(t, slot, f):
         raise TemplateError(f"{f} is not orientation compatible at slot {slot}")
 
     def companion(mm: int) -> TangleFraction:
@@ -195,12 +266,12 @@ def component_reduction_step(
         ok = c_m != zl and c_m1 != zl
         if ok and oriented:
             # the resolution of the merging triple must be f itself
-            ok = connectivity(c_m) not in compat and companion(mm - 1) != zl
+            ok = not orientation_compatible(t, slot, c_m) and companion(mm - 1) != zl
         if ok:
             break
         mm += 1
     if not oriented:
-        return SkeinTriple(UNORIENTED, f, c_m, c_m1)
-    return SkeinTriple(
+        return MergingTriple(UNORIENTED, f, c_m, c_m1)
+    return MergingTriple(
         ORIENTED, f, c_m, mediant=c_m1, partner=companion(mm - 1), resolution=f
     )

@@ -39,10 +39,10 @@ from tanglekit.skein import (
     splice,
     zero_locus,
 )
-from tanglekit.tangle import TangleFraction, connectivity, compatible_classes
+from tanglekit.tangle import TangleFraction, connectivity
 
 from certify_oracle import _derive as dfs_derive
-from tangle_oracles import component_reduction_step
+from tangle_oracles import compatible_classes, component_reduction_step
 
 F = TangleFraction.parse
 TREFOIL = parse_pd("X[1,2,3,4] X[2,5,6,3] X[4,6,5,1]")
@@ -346,6 +346,17 @@ class TestVerifierBranches:
             False, 1, 0, "unknown justification 'lemma'"
         )
 
+    @pytest.mark.parametrize("just, message", [
+        ((), "unknown justification None"),
+        (("base",), "malformed base justification ('base',)"),
+        (("base", "unknot", 0), "malformed base justification ('base', 'unknot', 0)"),
+        (("triple", 0), "malformed triple justification ('triple', 0)"),
+        (("triple", 0, 1, 1, 0), "malformed triple justification ('triple', 0, 1, 1, 0)"),
+    ])
+    def test_justification_of_the_wrong_length_rejected_check1(self, just, message):
+        cert = Certificate(UNORIENTED, [CertNode(F("1/1"), None, just)], figure8_template())
+        assert verify_certificate(cert) == Verdict(False, 1, 0, message)
+
     @pytest.mark.parametrize("tag", [PARALLEL, ANTIPARALLEL])
     def test_oriented_ambient_is_refitted(self, tag):
         ambient = figure8_template(tag)
@@ -648,6 +659,22 @@ class TestOneFittedModel:
                 write(unfitted)
         assert path.read_text() == "kept"
 
+    @pytest.mark.parametrize("just", [
+        ("lemma", 0), ("lemma", 0, 1, None), (), ("base",), ("base", "unknot", 0),
+        ("triple", 0, 1), ("triple", 0, 1, None, 0),
+    ])
+    def test_justification_without_a_file_form_is_not_written(self, just, tmp_path):
+        c = span_certificate(F("2/5"))
+        node = CertNode(F("2/5"), None, just)
+        forged = Certificate(c.kind, (*c.nodes[:2], node), c.ambient)
+        path = tmp_path / "c.json"
+        path.write_text("kept")
+        save = lambda c: save_certificate(c, path)  # noqa: E731
+        for write in (certificate_to_json, certificate_text, save):
+            with pytest.raises(CertificateError, match="cannot be written"):
+                write(forged)
+        assert path.read_text() == "kept"
+
     @pytest.mark.parametrize("pd", ["T[1,2,1,2]", "T[1,2,3,4] T[2,1,4,3]"])
     def test_unfitted_ambient_rejects_at_check_0(self, pd):
         c = span_certificate(F("2/5"))
@@ -897,6 +924,14 @@ def _differential_targets():
                       if gcd(p, q) == 1]
 
 
+def _walk(target, tag, ambient):
+    """The Stern-Brocot walk through the public generators, where
+    OrientedTarget refuses an oriented target outside its sector."""
+    if tag is None:
+        return span_certificate(target, ambient)
+    return oriented_span_certificate(OrientedTarget(target, tag), ambient)
+
+
 def _generated(derive, target, tag, ambient):
     try:
         return derive(target, tag, ambient)
@@ -912,7 +947,7 @@ def test_walk_matches_the_depth_first_oracle(ambient, tag):
     is exact."""
     made = 0
     for target in _differential_targets():
-        new = _generated(certify._derive, target, tag, TEMPLATES[ambient])
+        new = _generated(_walk, target, tag, TEMPLATES[ambient])
         old = _generated(dfs_derive, target, tag, TEMPLATES[ambient])
         if isinstance(old, str) or isinstance(new, str):
             assert new == old, target

@@ -23,7 +23,7 @@ from tanglekit.diagram import (
     pd_string,
     resolve,
 )
-from tanglekit.skein import FareyPair, ScanReport, SkeinTriple, TangleTemplate
+from tanglekit.skein import FareyPair, ScanReport, TangleTemplate
 from tanglekit.tangle import CompiledTangle, ContinuedFraction, TangleWord
 from tanglekit.tangle import TangleFraction as F
 
@@ -190,6 +190,21 @@ class TestResolve:
         d = parse_pd(TREFOIL)
         r = resolve(d, CrossingSite(1), 0)
         assert len(r.crossings) == 2
+
+    @pytest.mark.parametrize(
+        "site", [1.7, True, 1.0, "1", CrossingSite(1.7), CrossingSite(True)]
+    )
+    def test_site_must_be_an_exact_int(self, site):
+        # int() would truncate 1.7 and True to crossing 1 and smooth it
+        d = parse_pd(TREFOIL)
+        oriented = d.with_orientation((1,))
+        for verb in (
+            lambda: resolve(d, site, 0),
+            lambda: crossing_change(d, site),
+            lambda: oriented_resolve(oriented, site),
+        ):
+            with pytest.raises(PDError, match="crossing site must be an int"):
+                verb()
 
 
 class TestCrossingChange:
@@ -430,10 +445,6 @@ RECORDS = [
      "CompiledTangle(crossings=((1, 2, 4, 3),), nw=1, ne=3, sw=2, se=4)"),
     (lambda: FareyPair(F(1, 2), F(1, 3)),
      "FareyPair(f1=TangleFraction(p=1, q=2), f2=TangleFraction(p=1, q=3))"),
-    (lambda: SkeinTriple("unoriented", F(1, 2), F(1, 3), F(2, 5)),
-     "SkeinTriple(kind='unoriented', f1=TangleFraction(p=1, q=2),"
-     " f2=TangleFraction(p=1, q=3), mediant=TangleFraction(p=2, q=5),"
-     " partner=None, resolution=None)"),
     (_fig8, FIG8_REPR),
     (lambda: ScanReport(1, ((F(1, 0), 1, (F(0, 1),)),)),
      "ScanReport(bound=1, records=((TangleFraction(p=1, q=0), 1,"

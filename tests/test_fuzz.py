@@ -31,7 +31,6 @@ from tanglekit import (
     TangleTemplate,
     TangleWord,
     bundled_templates,
-    farey_neighbor,
     figure8_template,
     load_corpus,
     oriented_span_certificate,
@@ -39,6 +38,7 @@ from tanglekit import (
     span_certificate,
 )
 from tanglekit.certify import certificate_text
+from tangle_oracles import farey_neighbor
 
 CALLS = 10_000
 BOUND = 40
@@ -140,9 +140,24 @@ def _pools():
     return diagrams, templates, pairs, certs
 
 
+def justification(rng):
+    """A justification in a documented shape, ("base", name) or
+    (kind, i, j, resolution), or in another: an unknown kind with fewer
+    entries, a known kind with too few or too many, or none at all."""
+    name = rng.choice(("unknot", "hopf", "lemma", ""))
+    i, j, res = small(rng), small(rng), rng.choice((None, small(rng)))
+    return rng.choice((
+        ("base", name),
+        (rng.choice(("triple", "lemma")), i, j, res),
+        (rng.choice(("base", "triple", "lemma")), i)[: rng.randint(0, 2)],
+        ("base", name, i),
+        ("triple", i, j),
+        ("triple", i, j, res, i),
+    ))
+
+
 def forged(rng, cert, templates):
-    """A certificate with edited nodes, kind or ambient. Justifications keep
-    their documented shapes: ("base", name) or (kind, i, j, resolution)."""
+    """A certificate with edited nodes, kind or ambient."""
     kind, ambient, nodes = cert.kind, cert.ambient, list(cert.nodes)
     for _ in range(rng.randint(1, 3)):
         m = rng.randrange(len(nodes)) if nodes else 0
@@ -152,12 +167,7 @@ def forged(rng, cert, templates):
             nodes[m] = CertNode(n.frac, rng.choice((*TAGS, None)), n.just)
         elif edit == 1 and nodes:
             n = nodes[m]
-            just = rng.choice((
-                ("base", rng.choice(("unknot", "hopf", "lemma", ""))),
-                (rng.choice(("triple", "lemma")), small(rng), small(rng),
-                 rng.choice((None, small(rng)))),
-            ))
-            nodes[m] = CertNode(n.frac, n.orient, just)
+            nodes[m] = CertNode(n.frac, n.orient, justification(rng))
         elif edit == 2 and nodes:
             n = nodes[m]
             nodes[m] = CertNode(fraction(rng), n.orient, n.just)
@@ -297,7 +307,6 @@ CALLS_BY_NAME = {
     "crossing_change": (D, small),
     "determinant": (D,),
     "disjoint_union": (D, D),
-    "farey_neighbor": (fraction,),
     "figure8_template": (lambda rng: rng.choice((None, *TAGS)),),
     "fill_slot": (
         D, SLOT, lambda rng: tuple(quad(rng) for _ in range(rng.randint(0, 2))), quad
@@ -311,11 +320,9 @@ CALLS_BY_NAME = {
     "load_corpus": ("path",),
     "mediant": (P,),
     "n_colorable": (D, small),
-    "orientation_class": (fraction,),
     "orientation_compatible": (T, SLOT, fraction),
     "oriented_resolve": (D, small),
     "oriented_span_certificate": (target, OPT_T),
-    "oriented_triple": (P, T, SLOT),
     "parse_pd": (pd_text,),
     "partner": (P,),
     "pd_string": (D,),
@@ -325,7 +332,6 @@ CALLS_BY_NAME = {
     "span_certificate": (fraction, OPT_T),
     "splice": (T, SLOT, fraction),
     "two_slot_scan": (T, SLOT, SLOT, lambda rng: rng.randint(-1, 3)),
-    "unoriented_triple": (P,),
     "verify_certificate": (C,),
     "zero_locus": (T,),
 }
@@ -333,8 +339,7 @@ CALLS_BY_NAME = {
 # exceptions and records that check nothing (fields are stored as given)
 UNCHECKED = {
     "CertificateError", "PDError", "TemplateError", "CertNode", "ColoringMatrix",
-    "CompiledTangle", "CorpusEntry", "CrossingSite", "ScanReport", "SkeinTriple",
-    "Verdict",
+    "CompiledTangle", "CorpusEntry", "CrossingSite", "ScanReport", "Verdict",
 }
 
 
@@ -367,3 +372,10 @@ def test_wrong_content_raises_only_value_errors(tmp_path):
             pytest.fail(f"{name}{tuple(args)!r} raised {exc!r}")
     # most calls are refused; a run where nothing is refused fuzzes nothing
     assert CALLS // 4 < raised < CALLS
+
+
+@pytest.mark.parametrize("p, q", [(True, 3), (1.0, 1), (1, False), (2, 3.0)])
+def test_fraction_terms_must_be_ints(p, q):
+    # a bool is an int that prints as True; a float would reach gcd
+    with pytest.raises(ValueError, match="must be integers"):
+        TangleFraction(p, q)

@@ -20,20 +20,15 @@ from tanglekit.skein import (
     ScanReport,
     TangleTemplate,
     TemplateError,
-    compatible_classes_for_slot,
-    farey_neighbor,
     figure8_template,
     fit_coefficients,
     insertion_det,
     mediant,
-    oriented_triple,
     orientation_compatible,
     partner,
     reduced_fractions,
-    slot_io,
     splice,
     two_slot_scan,
-    unoriented_triple,
     zero_locus,
 )
 from tanglekit.tangle import (
@@ -47,10 +42,25 @@ from tanglekit.tangle import (
     connectivity,
     fraction_word,
 )
-from tangle_oracles import aligned_words, brute_two_slot_scan, insert
+from tangle_oracles import aligned_words, brute_two_slot_scan, farey_neighbor, insert
 
 F = TangleFraction.parse
 NECKLACE2 = TangleTemplate(parse_pd("T[1,2,3,4] T[2,1,4,3]"))
+# one fraction of each connectivity class
+CLASS_FRACTIONS = {AB_CD: F("0/1"), AC_BD: F("1/0"), AD_BC: F("1/1")}
+
+
+def admitted(t, slot=0):
+    """The connectivity classes orientation_compatible admits at a slot."""
+    return {c for c, f in CLASS_FRACTIONS.items() if orientation_compatible(t, slot, f)}
+
+
+def resolution(pair, t):
+    """The oriented skein triple's resolution: the one pair member the
+    slot admits, where the mediant is admitted too."""
+    assert orientation_compatible(t, 0, mediant(pair))
+    (res,) = [f for f in (pair.f1, pair.f2) if orientation_compatible(t, 0, f)]
+    return res
 
 
 def farey_ok(f1, f2) -> bool:
@@ -184,12 +194,10 @@ class TestOneSlotModel:
 
 class TestOrientation:
     def test_compatible_classes_parallel(self):
-        t = figure8_template(PARALLEL)
-        assert compatible_classes_for_slot(t, 0) == frozenset({AD_BC, AC_BD})
+        assert admitted(figure8_template(PARALLEL)) == {AD_BC, AC_BD}
 
     def test_compatible_classes_antiparallel(self):
-        t = figure8_template(ANTIPARALLEL)
-        assert compatible_classes_for_slot(t, 0) == frozenset({AB_CD, AC_BD})
+        assert admitted(figure8_template(ANTIPARALLEL)) == {AB_CD, AC_BD}
 
     def test_even_denominator_compatible_both_ways(self):
         for tag in (PARALLEL, ANTIPARALLEL):
@@ -224,33 +232,33 @@ class TestOrientation:
 
 
 class TestOrientedTriple:
+    """The oriented triple of a Farey pair at a slot: its mediant, the
+    crossing-change partner, and the one pair member the slot admits."""
+
     def test_base_pair(self):
         pair = FareyPair(F("0/1"), F("1/0"))
-        tri = oriented_triple(pair, figure8_template(PARALLEL), 0)
-        assert tri.mediant == F("1/1")
-        assert tri.partner == F("-1/1")
-        assert tri.resolution == F("1/0")
+        assert mediant(pair) == F("1/1")
+        assert partner(pair) == F("-1/1")
+        assert resolution(pair, figure8_template(PARALLEL)) == F("1/0")
 
     def test_ladder_pair(self):
         pair = FareyPair(F("1/4"), F("0/1"))
-        tri_p = oriented_triple(pair, figure8_template(PARALLEL), 0)
-        assert tri_p.mediant == F("1/5")
-        assert tri_p.partner == F("1/3")
-        assert tri_p.resolution == F("1/4")
+        assert mediant(pair) == F("1/5")
+        assert partner(pair) == F("1/3")
+        assert resolution(pair, figure8_template(PARALLEL)) == F("1/4")
 
     def test_antiparallel_selection(self):
         pair = FareyPair(F("1/2"), F("1/3"))
-        tri = oriented_triple(pair, figure8_template(ANTIPARALLEL), 0)
-        assert tri.mediant == F("2/5")
-        assert tri.partner == F("0/1")
-        assert tri.resolution == F("1/2")
+        assert mediant(pair) == F("2/5")
+        assert partner(pair) == F("0/1")
+        assert resolution(pair, figure8_template(ANTIPARALLEL)) == F("1/2")
 
     def test_incompatible_mediant_rejected(self):
-        pair = FareyPair(F("1/1"), F("0/1"))  # mediant 1/2? no: 1/2 e1 fine
-        # choose a pair with odd/odd mediant and an antiparallel template
         pair = FareyPair(F("1/2"), F("0/1"))  # mediant 1/3, class AD|BC
-        with pytest.raises(TemplateError):
-            oriented_triple(pair, figure8_template(ANTIPARALLEL), 0)
+        t = figure8_template(ANTIPARALLEL)
+        assert not orientation_compatible(t, 0, mediant(pair))
+        with pytest.raises(TemplateError, match="not orientation compatible"):
+            splice(t, 0, mediant(pair))
 
 
 class TestSlotRange:
@@ -259,24 +267,24 @@ class TestSlotRange:
 
     @pytest.mark.parametrize("slot", [-1, -2, 1, 5])
     def test_slot_out_of_range_is_template_error(self, slot):
-        pair = FareyPair(F("0/1"), F("1/0"))
         for tag in (PARALLEL, ANTIPARALLEL):
             t = figure8_template(tag)
             for query in (
-                lambda: slot_io(t, slot),
-                lambda: compatible_classes_for_slot(t, slot),
-                lambda: oriented_triple(pair, t, slot),
+                lambda: orientation_compatible(t, slot, F("1/0")),
+                lambda: splice(t, slot, F("1/0")),
             ):
                 with pytest.raises(TemplateError, match="out of range"):
                     query()
 
     def test_second_slot_of_an_oriented_two_slot_template(self):
         t = NECKLACE2.oriented((1, -1, 1, -1))
-        assert slot_io(t, 1) == ("out", "in", "out", "in")
+        # strands run in at endpoints 1 and 3 and out at 0 and 2
+        assert t.diagram.incoming_positions(1) == {1, 3}
+        assert admitted(t, 1) == {AB_CD, AD_BC}
         every_in = NECKLACE2.oriented((1, 1, 1, 1)).diagram
         assert every_in.incoming_positions(1) == {0, 1, 2, 3}
         with pytest.raises(TemplateError, match="out of range"):
-            slot_io(t, 2)
+            orientation_compatible(t, 2, F("1/0"))
 
 
 class TestAlignedWords:
@@ -475,9 +483,8 @@ class TestPartnerNormalization:
         assert partner(FareyPair(F("0/1"), F("1/0"))) == F("-1/1")
 
     def test_unoriented_triple(self):
-        tri = unoriented_triple(FareyPair(F("1/2"), F("1/3")))
-        assert tri.mediant == F("2/5")
-        assert tri.kind == "unoriented"
+        pair = FareyPair(F("1/2"), F("1/3"))
+        assert (mediant(pair), partner(pair)) == (F("2/5"), F("0/1"))
 
 
 class TestCompileOnce:

@@ -5,8 +5,6 @@ from tanglekit.tangle import (
     AB_CD,
     AC_BD,
     AD_BC,
-    ANTIPARALLEL,
-    PARALLEL,
     ContinuedFraction,
     TangleFraction,
     TangleWord,
@@ -16,7 +14,6 @@ from tanglekit.tangle import (
     connectivity,
     fraction_to_cf,
     fraction_word,
-    orientation_class,
     word_fraction,
 )
 from tangle_oracles import trace_connectivity
@@ -141,12 +138,3 @@ class TestConnectivity:
         for f in all_reduced(30):
             compiled = compile_word(fraction_word(f))
             assert trace_connectivity(compiled) == connectivity(f), f
-
-
-class TestOrientationClass:
-    def test_forced_classes(self):
-        assert orientation_class(TangleFraction(1, 3)) == PARALLEL
-        assert orientation_class(TangleFraction(2, 3)) == ANTIPARALLEL
-
-    def test_even_denominator_unconstrained(self):
-        assert orientation_class(TangleFraction(1, 2)) is None
