@@ -74,13 +74,10 @@ _SUBMODULE_NAMES = {
         "CompiledTangle",
         "ContinuedFraction",
         "TangleFraction",
-        "TangleWord",
         "cf_to_fraction",
-        "cf_to_word",
         "compile_word",
         "connectivity",
         "fraction_to_cf",
-        "fraction_word",
     ),
 }
 # public name -> the submodule defining it

@@ -290,7 +290,7 @@ def verify_certificate(cert: Certificate) -> Verdict:
        (the fit is memoized by diagram value and the determinant in use;
        the comparison runs on every call);
     1. each justification is a base or a triple of its length, and triples
-       reference strictly earlier nodes (DAG order);
+       reference strictly earlier nodes (DAG order) by int index;
     2. exact mediant/Farey identities at every triple;
     3. nonzero determinant of every node under the ambient model;
     4. (oriented) every tag is valid, forced by the fraction where the
@@ -326,6 +326,8 @@ def verify_certificate(cert: Certificate) -> Verdict:
         kind = just[0] if just else None
         if kind == "triple" and len(just) == 4:
             _, i, j, res = just
+            if type(i) is not int or type(j) is not int:
+                return Verdict(False, 1, m, "triple indices must be integers")
             if not (0 <= i < m and 0 <= j < m and i != j):
                 return Verdict(False, 1, m, "triple must reference earlier nodes")
             if not oriented:
@@ -333,7 +335,7 @@ def verify_certificate(cert: Certificate) -> Verdict:
                 if msg is not None:
                     return Verdict(False, 2, m, msg)
             else:
-                if res not in (i, j):
+                if type(res) is not int or res not in (i, j):
                     return Verdict(False, 1, m, "resolution marker must be a parent")
                 # resolution (rp, rq) and crossing-change partner (xp, xq)
                 o = j if res == i else i
@@ -484,14 +486,19 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 def _model(cert: Certificate) -> tuple[int, int]:
     """The ambient's model, which every certificate file records, once each
-    justification has a form in the file: ("base", name) or
-    ("triple", i, j, resolution)."""
+    justification has a form in the file: ("base", name) with a str name or
+    ("triple", i, j, resolution) with int indices and an int or None
+    resolution."""
     if cert.ambient.coeffs is None:
         raise CertificateError("an ambient without a model cannot be written")
     for just in cert.justs:
-        if not (len(just) == 4 and just[0] == "triple"
-                or len(just) == 2 and just[0] == "base"):
-            raise CertificateError(f"justification {just!r} cannot be written")
+        if len(just) == 4 and just[0] == "triple":
+            _, i, j, res = just
+            if type(i) is int and type(j) is int and (res is None or type(res) is int):
+                continue
+        elif len(just) == 2 and just[0] == "base" and type(just[1]) is str:
+            continue
+        raise CertificateError(f"justification {just!r} cannot be written")
     return cert.ambient.coeffs
 
 

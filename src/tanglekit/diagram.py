@@ -208,7 +208,7 @@ class LinkDiagram(_Record):
             raise PDError(
                 f"orientation needs {len(units)} flags, got {len(self.orientation)}"
             )
-        if any(f not in (1, -1) for f in self.orientation):
+        if any(type(f) is not int or f not in (1, -1) for f in self.orientation):
             raise PDError("orientation flags must be +1 or -1")
 
     # -- structure ---------------------------------------------------------
@@ -512,7 +512,7 @@ def resolve(d: LinkDiagram, site: "CrossingSite | int", which: int) -> LinkDiagr
     i = _site_index(site)
     if not 0 <= i < len(d.crossings):
         raise PDError(f"crossing index {i} out of range")
-    if which not in (0, 1):
+    if type(which) is not int or which not in (0, 1):  # True and 1.0 equal 1
         raise PDError("smoothing must be 0 or 1")
     if d.is_oriented:
         raise PDError("resolve acts on unoriented diagrams; see oriented_resolve")

@@ -31,7 +31,7 @@ from .tangle import (
     TangleFraction,
     compile_word,
     connectivity,
-    fraction_word,
+    fraction_to_cf,
 )
 
 __all__ = [
@@ -111,7 +111,7 @@ def _compiled(f: TangleFraction) -> CompiledTangle:
     """The crossings and stubs of f's standard tangle. A fit splices the same
     eight fractions into every template and a scan the same few dozen, so
     each is compiled once; the result is immutable."""
-    return compile_word(fraction_word(f))
+    return compile_word(fraction_to_cf(f))
 
 
 def splice(t: TangleTemplate, slot: int, f: TangleFraction):

@@ -1,10 +1,11 @@
 """Exact rational-tangle calculus.
 
 A rational tangle is named by a reduced fraction p/q in Q+ = Q ∪ {1/0}. The
-continued-fraction form (a1, ..., an), n odd, encodes its twist-by-twist
-construction: a1 is the innermost block, blocks alternate horizontal/vertical,
-and the value is an + 1/(a_{n-1} + 1/(... + 1/a1)). a1 may be infinite (the
-vertical trivial tangle) and an may be 0; interior terms are nonzero.
+continued-fraction form (a1, ..., an), n odd, is the recipe that
+`compile_word` builds the tangle from, twist block by twist block: a1 is the
+innermost block, blocks alternate horizontal/vertical, and the value is
+an + 1/(a_{n-1} + 1/(... + 1/a1)). a1 may be infinite (the vertical trivial
+tangle) and an may be 0; interior terms are nonzero.
 
 Endpoint labels follow the fixed disk picture: a = top-left (NW), b = top-right
 (NE), c = bottom-left (SW), d = bottom-right (SE). The horizontal trivial
@@ -22,14 +23,10 @@ from ._record import _Record
 __all__ = [
     "TangleFraction",
     "ContinuedFraction",
-    "TangleWord",
     "CompiledTangle",
     "cf_to_fraction",
     "fraction_to_cf",
-    "cf_to_word",
-    "word_fraction",
     "compile_word",
-    "fraction_word",
     "connectivity",
     "PARALLEL",
     "ANTIPARALLEL",
@@ -75,6 +72,8 @@ class TangleFraction(_Record):
     @staticmethod
     def make(p: int, q: int) -> "TangleFraction":
         """Normalize an arbitrary integer pair: sign into p, q >= 0, reduced."""
+        if type(p) is not int or type(q) is not int:
+            raise ValueError("fraction terms must be integers")
         if p == 0 and q == 0:
             raise ValueError("0/0 is not an element of Q+")
         if q == 0:
@@ -118,8 +117,8 @@ class ContinuedFraction(_Record):
             if a is None:
                 if i != 0:
                     raise ValueError("infinite term allowed only in the first slot")
-            elif not isinstance(a, int):
-                raise TypeError("terms must be integers (or None first)")
+            elif type(a) is not int:  # a bool would compile as one crossing
+                raise ValueError("terms must be integers (or None first)")
         if len(terms) > 1 and terms[0] == 0:
             raise ValueError("leading term must be nonzero or infinite")
         for a in terms[1:-1]:
@@ -154,33 +153,9 @@ class ContinuedFraction(_Record):
         return ContinuedFraction(tuple(terms))
 
 
-class TangleWord(_Record):
-    """Alternating twist instructions applied to a trivial tangle.
-
-    start is 'h' (two horizontal strands) or 'v' (two vertical strands); each
-    op ('h', k) adds |k| half-twists on the right, ('v', k) stacks |k|
-    half-twists below; the sign is the handedness.
-    """
-
-    __slots__ = _fields = ("start", "ops")
-
-    def __init__(self, start: str, ops: tuple[tuple[str, int], ...]) -> None:
-        if start not in ("h", "v"):
-            raise ValueError("start must be 'h' or 'v'")
-        for kind, twists in ops:
-            if kind not in ("h", "v"):
-                raise ValueError("op kind must be 'h' or 'v'")
-            if twists == 0:
-                raise ValueError("zero-twist ops are dropped at construction")
-        _Record.__init__(self, start, ops)
-
-    @property
-    def crossing_count(self) -> int:
-        return sum(abs(t) for _, t in self.ops)
-
-
 class CompiledTangle(_Record):
-    """Crossings of a compiled word plus its four boundary edges nw, ne, sw, se.
+    """Crossings of a compiled continued fraction plus its four boundary edges
+    nw, ne, sw, se.
 
     Crossing tuples follow the ambient PD convention (counterclockwise from the
     incoming under-strand); stub edges may coincide (trivial tangles).
@@ -235,59 +210,33 @@ def fraction_to_cf(f: TangleFraction) -> ContinuedFraction:
     return ContinuedFraction(tuple(terms))
 
 
-def cf_to_word(cf: ContinuedFraction) -> TangleWord:
-    """Twist word of a continued fraction; crossing count is sum(|a_i|)."""
-    first = cf.terms[0]
-    ops: list[tuple[str, int]] = []
-    if first is None:
-        start = "v"
-    else:
-        start = "h"
-        if first != 0:
-            ops.append(("h", first))
-    for i, a in enumerate(cf.terms[1:], start=2):
-        kind = "v" if i % 2 == 0 else "h"
-        if a != 0:
-            ops.append((kind, a))
-    return TangleWord(start, tuple(ops))
+def compile_word(cf: ContinuedFraction) -> CompiledTangle:
+    """Compile a continued fraction to PD crossings with four boundary stubs.
 
-
-def fraction_word(f: TangleFraction) -> TangleWord:
-    return cf_to_word(fraction_to_cf(f))
-
-
-def word_fraction(w: TangleWord) -> TangleFraction:
-    """Fraction of a word, folded op by op (independent of cf evaluation)."""
-    p, q = (0, 1) if w.start == "h" else (1, 0)
-    for kind, k in w.ops:
-        if kind == "h":
-            p = p + k * q
-        else:
-            q = q + k * p
-    return TangleFraction.make(p, q)
-
-
-def compile_word(w: TangleWord) -> CompiledTangle:
-    """Compile a word to PD crossings with four boundary stubs.
-
-    Positive horizontal twists make the SW-NE strand pass over; positive
-    vertical twists are the same crossing read sideways. Fresh edge labels are
-    issued left to right, top to bottom.
+    The term at index i (from 0) adds |a_i| half-twists: on the right
+    (horizontal) for even i, stacked below (vertical) for odd i. An infinite
+    first term starts from the vertical trivial tangle, any other from the
+    horizontal one, so the crossing count is the sum of |a_i|. Positive
+    horizontal twists make the SW-NE strand pass over; positive vertical
+    twists are the same crossing read sideways. Fresh edge labels are issued
+    left to right, top to bottom.
     """
     crossings: list[tuple[int, int, int, int]] = []
     next_label = 3
-    if w.start == "h":
-        nw = ne = 1
-        sw = se = 2
-    else:
+    terms = cf.terms
+    if terms[0] is None:
         nw = sw = 1
         ne = se = 2
+        terms = (0,) + terms[1:]  # the infinite term adds no twist
+    else:
+        nw = ne = 1
+        sw = se = 2
 
-    for kind, k in w.ops:
+    for i, k in enumerate(terms):
         for _ in range(abs(k)):
             a, b = next_label, next_label + 1
             next_label += 2
-            if kind == "h":
+            if i % 2 == 0:
                 t, u = ne, se  # left-side edges of the new crossing
                 if k > 0:
                     crossings.append((t, u, b, a))

@@ -1,9 +1,11 @@
 """Test-only oracles of the tangle layer, kept apart from the library, which
-inserts tangles by fraction only: strand tracing, aligned compilations of skein
-triples, insertion of compiled crossings straight into a slot, the pairwise
-two-slot scan, the component-merging skein step, and the class-table
-statements of the orientation rule that the library's one slot query and one
-tag table replaced."""
+inserts tangles by fraction only: the twist word (a second statement of the
+compile recipe, with its own evaluator `word_fraction` and word compiler),
+strand tracing, aligned compilations of skein triples, insertion of compiled
+crossings straight into a slot, the pairwise two-slot scan, the
+component-merging skein step, and the class-table statements of the
+orientation rule that the library's one slot query and one tag table
+replaced."""
 
 from dataclasses import dataclass
 
@@ -22,8 +24,8 @@ from tanglekit.skein import (
     zero_locus,
 )
 from tanglekit.tangle import AB_CD, AC_BD, AD_BC, ANTIPARALLEL, PARALLEL
-from tanglekit.tangle import CompiledTangle, TangleFraction, TangleWord, compile_word
-from tanglekit.tangle import fraction_to_cf, word_fraction
+from tanglekit.tangle import CompiledTangle, ContinuedFraction, TangleFraction
+from tanglekit.tangle import compile_word, fraction_to_cf
 
 
 def farey_neighbor(f: TangleFraction) -> TangleFraction:
@@ -34,6 +36,77 @@ def farey_neighbor(f: TangleFraction) -> TangleFraction:
     qq = pow(f.p, -1, f.q) if f.q > 1 else 0
     pp = (f.p * qq - 1) // f.q
     return TangleFraction.make(pp, qq)
+
+
+# -- the twist word ---------------------------------------------------------------
+
+# (start, ops): start 'h' (two horizontal strands) or 'v' (two vertical
+# strands); each op ('h', k) adds |k| half-twists on the right, ('v', k)
+# stacks |k| half-twists below; the sign is the handedness
+Word = tuple[str, tuple[tuple[str, int], ...]]
+
+
+def cf_to_word(cf: ContinuedFraction) -> Word:
+    """Twist word of a continued fraction; crossing count is sum(|a_i|)."""
+    first = cf.terms[0]
+    ops: list[tuple[str, int]] = []
+    if first is None:
+        start = "v"
+    else:
+        start = "h"
+        if first != 0:
+            ops.append(("h", first))
+    for i, a in enumerate(cf.terms[1:], start=2):
+        kind = "v" if i % 2 == 0 else "h"
+        if a != 0:
+            ops.append((kind, a))
+    return start, tuple(ops)
+
+
+def word_fraction(w: Word) -> TangleFraction:
+    """Fraction of a word, folded op by op (independent of cf evaluation)."""
+    start, ops = w
+    p, q = (0, 1) if start == "h" else (1, 0)
+    for kind, k in ops:
+        if kind == "h":
+            p = p + k * q
+        else:
+            q = q + k * p
+    return TangleFraction.make(p, q)
+
+
+def compile_twist_word(w: Word) -> CompiledTangle:
+    """Compile a word to PD crossings with four boundary stubs, op by op, as
+    the library compiled words before it read continued fractions directly."""
+    start, ops = w
+    crossings: list[tuple[int, int, int, int]] = []
+    next_label = 3
+    if start == "h":
+        nw = ne = 1
+        sw = se = 2
+    else:
+        nw = sw = 1
+        ne = se = 2
+
+    for kind, k in ops:
+        for _ in range(abs(k)):
+            a, b = next_label, next_label + 1
+            next_label += 2
+            if kind == "h":
+                t, u = ne, se  # left-side edges of the new crossing
+                if k > 0:
+                    crossings.append((t, u, b, a))
+                else:
+                    crossings.append((u, b, a, t))
+                ne, se = a, b
+            else:
+                l, r = sw, se  # top-side edges of the new crossing
+                if k > 0:
+                    crossings.append((l, a, b, r))
+                else:
+                    crossings.append((r, l, a, b))
+                sw, se = a, b
+    return CompiledTangle(tuple(crossings), nw, ne, sw, se)
 
 
 # -- the orientation rule as class tables ----------------------------------------
@@ -139,14 +212,14 @@ class AlignedWords:
     partner_fraction: TangleFraction
 
 
-def _raw_word(terms: tuple[int, ...], parity: str) -> TangleWord:
+def _raw_word(terms: tuple[int, ...], parity: str) -> Word:
     ops = []
     kind = parity
     for a in terms:
         if a != 0:
             ops.append((kind, a))
         kind = "v" if kind == "h" else "h"
-    return TangleWord(parity, tuple(ops))
+    return parity, tuple(ops)
 
 
 def _flip_crossing(t: CompiledTangle, index: int) -> CompiledTangle:
@@ -168,12 +241,12 @@ def mediant_words(med: TangleFraction) -> AlignedWords:
     sign = 1 if med.p > 0 else -1
     # innermost block first, signed like med; a leading 1/0 term means the
     # innermost block twists vertically
-    cf = fraction_to_cf(med).terms
-    terms, parity = (cf[1:], "v") if cf[0] is None else (cf, "h")
+    cf = fraction_to_cf(med)
+    terms, parity = (cf.terms[1:], "v") if cf.terms[0] is None else (cf.terms, "h")
     t1, rest = terms[0], terms[1:]
     flip_parity = "v" if parity == "h" else "h"
 
-    med_compiled = compile_word(_raw_word(terms, parity))
+    med_compiled = compile_word(cf)
     # the innermost block is compiled first: its last crossing is |a1| - 1
     distinguished = abs(t1) - 1
 

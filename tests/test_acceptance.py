@@ -41,7 +41,7 @@ from tanglekit.tangle import (
     TangleFraction,
     compile_word,
     connectivity,
-    fraction_word,
+    fraction_to_cf,
 )
 from tangle_oracles import brute_two_slot_scan, trace_connectivity
 
@@ -127,7 +127,7 @@ def test_criterion_5_split_vanishing_and_multiplicativity():
 def test_criterion_6_connectivity_parity_formula():
     count = 0
     for f in reduced_fractions(10):
-        compiled = compile_word(fraction_word(f))
+        compiled = compile_word(fraction_to_cf(f))
         assert trace_connectivity(compiled) == connectivity(f), f
         count += 1
     report(6, f"parity pairing equals traced pairing for all {count} "

@@ -357,6 +357,29 @@ class TestVerifierBranches:
         cert = Certificate(UNORIENTED, [CertNode(F("1/1"), None, just)], figure8_template())
         assert verify_certificate(cert) == Verdict(False, 1, 0, message)
 
+    @pytest.mark.parametrize("i, j", [("a", "b"), (0, None), (1.0, 0), (0, True)])
+    def test_triple_indices_must_be_ints_check1(self, i, j):
+        # "a" and None raised TypeError from 0 <= i; 1.0 passed it and
+        # raised TypeError from ps[i]
+        c = span_certificate(F("2/5"))
+        node = CertNode(c.nodes[2].frac, None, ("triple", i, j, None))
+        forged = Certificate(c.kind, (*c.nodes[:2], node, *c.nodes[3:]), c.ambient)
+        assert verify_certificate(forged) == Verdict(
+            False, 1, 2, "triple indices must be integers"
+        )
+
+    @pytest.mark.parametrize("res", [True, 1.0, "1"])
+    def test_resolution_marker_must_be_an_int_check1(self, res):
+        # True equals 1 and was read as node 1 (ACCEPT); 1.0 raised TypeError
+        c = oriented_span_certificate(OrientedTarget(F("2/5"), ANTIPARALLEL))
+        n = c.nodes[2]
+        assert n.just == ("triple", 0, 1, 1)
+        node = CertNode(n.frac, n.orient, ("triple", 0, 1, res))
+        forged = Certificate(c.kind, (*c.nodes[:2], node), c.ambient)
+        assert verify_certificate(forged) == Verdict(
+            False, 1, 2, "resolution marker must be a parent"
+        )
+
     @pytest.mark.parametrize("tag", [PARALLEL, ANTIPARALLEL])
     def test_oriented_ambient_is_refitted(self, tag):
         ambient = figure8_template(tag)
@@ -662,6 +685,9 @@ class TestOneFittedModel:
     @pytest.mark.parametrize("just", [
         ("lemma", 0), ("lemma", 0, 1, None), (), ("base",), ("base", "unknot", 0),
         ("triple", 0, 1), ("triple", 0, 1, None, 0),
+        # not JSON as certificate_text wrote them, or not loadable
+        ("triple", "a", "b", None), ("triple", 0, 1.0, None), ("triple", True, 0, None),
+        ("triple", 0, 1, "1"), ("triple", 0, 1, False), ("base", None), ("base", 1.0),
     ])
     def test_justification_without_a_file_form_is_not_written(self, just, tmp_path):
         c = span_certificate(F("2/5"))

@@ -433,6 +433,24 @@ class TestColorability:
         with pytest.raises(ValueError):
             n_colorable(TREFOIL, 6)
 
+    @pytest.mark.parametrize("n", [1763, 1681, 3215031751])
+    def test_composites_without_small_factors_are_refused(self, n):
+        # no base divides 1763 = 41*43 or 1681 = 41**2 (whose n - 1 = 16*105
+        # makes the test square its witness); 3215031751 is a strong
+        # pseudoprime to bases 2, 3, 5 and 7, so only a later base refuses it
+        with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+            n_colorable(TREFOIL, n)
+
+    @pytest.mark.parametrize("n", [41, 2**61 - 1])
+    def test_primes_past_the_bases_are_accepted(self, n):
+        # neither divides det 3; 41 - 1 = 8*5 makes the test square a witness
+        assert n_colorable(TREFOIL, n) is False
+
+    def test_modulus_beyond_the_proven_range_is_refused(self):
+        for n in (coloring._MR_LIMIT, coloring._MR_LIMIT + 2):
+            with pytest.raises(ValueError, match="beyond the proven range"):
+                n_colorable(TREFOIL, n)
+
     def test_explicit_trefoil_coloring(self):
         # the coloring (0,1,2) mod 3 satisfies every crossing relation
         cm = coloring_matrix(TREFOIL)

@@ -24,7 +24,7 @@ from tanglekit.diagram import (
     resolve,
 )
 from tanglekit.skein import FareyPair, ScanReport, TangleTemplate
-from tanglekit.tangle import CompiledTangle, ContinuedFraction, TangleWord
+from tanglekit.tangle import CompiledTangle, ContinuedFraction
 from tanglekit.tangle import TangleFraction as F
 
 UNKNOT_KINK = "X[1,2,2,1]"
@@ -205,6 +205,20 @@ class TestResolve:
         ):
             with pytest.raises(PDError, match="crossing site must be an int"):
                 verb()
+
+    @pytest.mark.parametrize("which", [True, 1.0, False, 0.0, "1"])
+    def test_smoothing_must_be_an_exact_int(self, which):
+        # True and 1.0 equal 1, so a membership test smoothed them as which=1
+        with pytest.raises(PDError, match="smoothing must be 0 or 1"):
+            resolve(parse_pd(TREFOIL), 1, which)
+
+    @pytest.mark.parametrize("flag", [True, 1.0, -1.0])
+    def test_orientation_flags_must_be_exact_ints(self, flag):
+        d = parse_pd(TREFOIL)
+        with pytest.raises(PDError, match="orientation flags must be"):
+            d.with_orientation((flag,))
+        with pytest.raises(PDError, match="orientation flags must be"):
+            LinkDiagram(d.crossings, (), 0, (flag,))
 
 
 class TestCrossingChange:
@@ -439,8 +453,6 @@ RECORDS = [
      "ColoringMatrix(entries=((1, -1), (-1, 1)))"),
     (lambda: F(-2, 5), "TangleFraction(p=-2, q=5)"),
     (lambda: ContinuedFraction((None, 2, 3)), "ContinuedFraction(terms=(None, 2, 3))"),
-    (lambda: TangleWord("h", (("v", 2), ("h", -1))),
-     "TangleWord(start='h', ops=(('v', 2), ('h', -1)))"),
     (lambda: CompiledTangle(((1, 2, 4, 3),), 1, 3, 2, 4),
      "CompiledTangle(crossings=((1, 2, 4, 3),), nw=1, ne=3, sw=2, se=4)"),
     (lambda: FareyPair(F(1, 2), F(1, 3)),

@@ -29,7 +29,6 @@ from tanglekit import (
     OrientedTarget,
     TangleFraction,
     TangleTemplate,
-    TangleWord,
     bundled_templates,
     figure8_template,
     load_corpus,
@@ -140,12 +139,21 @@ def _pools():
     return diagrams, templates, pairs, certs
 
 
+NOT_INTS = ("a", None, True, 1.0)
+
+
+def index(rng):
+    """A node index: mostly an int, else a value of another type."""
+    return small(rng) if rng.random() < 0.8 else rng.choice(NOT_INTS)
+
+
 def justification(rng):
     """A justification in a documented shape, ("base", name) or
     (kind, i, j, resolution), or in another: an unknown kind with fewer
-    entries, a known kind with too few or too many, or none at all."""
+    entries, a known kind with too few or too many, or none at all. Indices
+    are sometimes not ints."""
     name = rng.choice(("unknot", "hopf", "lemma", ""))
-    i, j, res = small(rng), small(rng), rng.choice((None, small(rng)))
+    i, j, res = index(rng), index(rng), rng.choice((None, index(rng)))
     return rng.choice((
         ("base", name),
         (rng.choice(("triple", "lemma")), i, j, res),
@@ -161,7 +169,7 @@ def forged(rng, cert, templates):
     kind, ambient, nodes = cert.kind, cert.ambient, list(cert.nodes)
     for _ in range(rng.randint(1, 3)):
         m = rng.randrange(len(nodes)) if nodes else 0
-        edit = rng.randrange(6)
+        edit = rng.randrange(7)
         if edit == 0 and nodes:
             n = nodes[m]
             nodes[m] = CertNode(n.frac, rng.choice((*TAGS, None)), n.just)
@@ -175,6 +183,12 @@ def forged(rng, cert, templates):
             del nodes[m]
         elif edit == 4:
             kind = rng.choice(("oriented", "unoriented", "x"))
+        elif edit == 5 and nodes and nodes[m].just[:1] == ("triple",):
+            # one of a triple's i, j or resolution of another type
+            n = nodes[m]
+            k = rng.randrange(1, len(n.just))
+            just = n.just[:k] + (rng.choice(NOT_INTS),) + n.just[k + 1 :]
+            nodes[m] = CertNode(n.frac, n.orient, just)
         else:
             ambient = rng.choice(templates)
     return Certificate(kind, nodes, ambient)
@@ -236,11 +250,6 @@ def cf_terms(rng):
     return (None, *terms[1:]) if terms and rng.random() < 0.1 else terms
 
 
-def word(rng):
-    ops = tuple((rng.choice("hvx"), small(rng) // 4) for _ in range(rng.randint(0, 4)))
-    return rng.choice("hvz"), ops
-
-
 def target(rng):
     while True:
         try:
@@ -253,14 +262,6 @@ def cf(rng):
     while True:
         try:
             return ContinuedFraction(cf_terms(rng))
-        except ValueError:
-            pass
-
-
-def tangle_word(rng):
-    while True:
-        try:
-            return TangleWord(*word(rng))
         except ValueError:
             pass
 
@@ -279,7 +280,6 @@ NODES = lambda rng: rng.choice(CERTS).nodes  # noqa: E731
 CALLS_BY_NAME = {
     "TangleFraction": (small, small),
     "ContinuedFraction": (cf_terms,),
-    "TangleWord": (lambda rng: word(rng)[0], lambda rng: word(rng)[1]),
     "FareyPair": (fraction, fraction),
     "LinkDiagram": (
         lambda rng: [quad(rng) for _ in range(rng.randint(0, 3))],
@@ -297,9 +297,8 @@ CALLS_BY_NAME = {
     "certificate_to_json": (C,),
     "certificate_text": (C,),
     "cf_to_fraction": (cf,),
-    "cf_to_word": (cf,),
     "coloring_matrix": (D,),
-    "compile_word": (tangle_word,),
+    "compile_word": (cf,),
     "components": (D,),
     "connected_sum": (D, small, D, small),
     "connected_sum_certificate": (C, C, D),
@@ -313,7 +312,6 @@ CALLS_BY_NAME = {
     ),
     "fit_coefficients": (T,),
     "fraction_to_cf": (fraction,),
-    "fraction_word": (fraction,),
     "insertion_det": (T, fraction),
     "is_planar": (D,),
     "load_certificate": ("path",),

@@ -29,7 +29,7 @@ from tanglekit.diagram import (
     oriented_resolve,
 )
 from tanglekit.skein import reduced_fractions
-from tanglekit.tangle import compile_word, fraction_word
+from tanglekit.tangle import compile_word, fraction_to_cf
 
 SEED = 18
 
@@ -149,7 +149,7 @@ def test_directions_and_crossing_surgery_match():
 
 
 def test_splices_into_every_orientation_of_every_stock_template_match():
-    compiled = [compile_word(fraction_word(f)) for f in reduced_fractions(3)]
+    compiled = [compile_word(fraction_to_cf(f)) for f in reduced_fractions(3)]
     filled = refused = 0
     for name, t in sorted(bundled_templates().items()):
         d = t.diagram

@@ -40,7 +40,7 @@ from tanglekit.tangle import (
     TangleFraction,
     compile_word,
     connectivity,
-    fraction_word,
+    fraction_to_cf,
 )
 from tangle_oracles import aligned_words, brute_two_slot_scan, farey_neighbor, insert
 
@@ -225,10 +225,10 @@ class TestOrientation:
 
     def test_splice_takes_only_fractions(self):
         f = F("2/3")
-        for w in (fraction_word(f), compile_word(fraction_word(f))):
+        for value in (fraction_to_cf(f), compile_word(fraction_to_cf(f))):
             for t in (figure8_template(), figure8_template(ANTIPARALLEL)):
                 with pytest.raises(TypeError):
-                    splice(t, 0, w)
+                    splice(t, 0, value)
 
 
 class TestOrientedTriple:
@@ -495,9 +495,9 @@ class TestCompileOnce:
         calls = []
         compile_ = tanglekit.skein.compile_word
 
-        def counted(word):
-            calls.append(word)
-            return compile_(word)
+        def counted(cf):
+            calls.append(cf)
+            return compile_(cf)
 
         monkeypatch.setattr(tanglekit.skein, "compile_word", counted)
         tanglekit.skein._compiled.cache_clear()
@@ -519,4 +519,4 @@ class TestCompileOnce:
     def test_cache_is_bounded_and_matches_compile_word(self, compiles):
         assert tanglekit.skein._compiled.cache_info().maxsize == 256
         for f in reduced_fractions(4):
-            assert tanglekit.skein._compiled(f) == compile_word(fraction_word(f))
+            assert tanglekit.skein._compiled(f) == compile_word(fraction_to_cf(f))

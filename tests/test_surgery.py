@@ -35,7 +35,7 @@ from tanglekit.skein import (
     reduced_fractions,
     splice,
 )
-from tanglekit.tangle import TangleFraction, compile_word, fraction_word
+from tanglekit.tangle import TangleFraction, compile_word, fraction_to_cf
 
 CORPUS = [e.diagram() for e in load_corpus()]
 TEMPLATES = bundled_templates()
@@ -52,7 +52,7 @@ def flag_vectors(d):
 
 
 def compiled(f):
-    c = compile_word(fraction_word(f))
+    c = compile_word(fraction_to_cf(f))
     return c.crossings, c.stubs
 
 
@@ -315,7 +315,7 @@ class TestDirectionReads:
         reads[0] = 0
         out = splice(t, 0, f)
         assert reads[0] == 2  # the slot's compatibility test, then fill_slot
-        compiled = compile_word(fraction_word(f))
+        compiled = compile_word(fraction_to_cf(f))
         for step in (
             lambda: fill_slot(t.diagram, 0, compiled.crossings, compiled.stubs),
             lambda: oriented_resolve(out, 0),

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,16 +9,17 @@ from tanglekit.tangle import (
     AD_BC,
     ContinuedFraction,
     TangleFraction,
-    TangleWord,
     cf_to_fraction,
-    cf_to_word,
     compile_word,
     connectivity,
     fraction_to_cf,
-    fraction_word,
+)
+from tangle_oracles import (
+    cf_to_word,
+    compile_twist_word,
+    trace_connectivity,
     word_fraction,
 )
-from tangle_oracles import trace_connectivity
 
 
 def all_reduced(bound: int, include_infinity: bool = True):
@@ -26,8 +29,6 @@ def all_reduced(bound: int, include_infinity: bool = True):
         out.append(TangleFraction(1, 0))
     for q in range(1, bound + 1):
         for p in range(-bound, bound + 1):
-            from math import gcd
-
             if gcd(abs(p), q) == 1:
                 out.append(TangleFraction(p, q))
     return out
@@ -44,6 +45,12 @@ class TestFraction:
     def test_rejects_zero_over_zero(self):
         with pytest.raises(ValueError):
             TangleFraction.make(0, 0)
+
+    @pytest.mark.parametrize("p, q", [(2.5, 0), (True, 3), (1.0, 1), (3, False)])
+    def test_make_takes_only_exact_ints(self, p, q):
+        # 2.5/0 was normalized to 1/0 and True/3 to 1/3; 1.0/1 reached gcd
+        with pytest.raises(ValueError, match="fraction terms must be integers"):
+            TangleFraction.make(p, q)
 
     def test_parse_and_str(self):
         assert TangleFraction.parse("9/7") == TangleFraction(9, 7)
@@ -78,6 +85,19 @@ class TestContinuedFraction:
         with pytest.raises(ValueError):
             ContinuedFraction((1, 0, 1))
 
+    @pytest.mark.parametrize("terms", [(True,), (None, True, 2), (2.0,), (1, 2, 1.0)])
+    def test_terms_must_be_exact_ints(self, terms):
+        # (True,) evaluated to 1/1 and (None, True, 2) to 3/1; a True term
+        # would compile as one crossing
+        with pytest.raises(ValueError, match="terms must be integers"):
+            ContinuedFraction(terms)
+
+    def test_infinite_term_only_first(self):
+        with pytest.raises(ValueError, match="allowed only in the first slot"):
+            ContinuedFraction((1, None, 2))
+        with pytest.raises(ValueError, match="allowed only first"):
+            ContinuedFraction.parse("(1,inf,2)")
+
     def test_parse(self):
         assert ContinuedFraction.parse("(2,3,1)") == ContinuedFraction((2, 3, 1))
         assert ContinuedFraction.parse("inf") == ContinuedFraction((None,))
@@ -97,28 +117,29 @@ class TestContinuedFraction:
 
 
 class TestWord:
+    """compile_word reads a continued fraction's terms as its twist blocks."""
+
     def test_zero_cf_is_empty_word(self):
-        w = cf_to_word(ContinuedFraction((0,)))
-        assert w == TangleWord("h", ())
-        assert w.crossing_count == 0
+        t = compile_word(ContinuedFraction((0,)))
+        assert t.crossings == ()
+        assert t.stubs == (1, 1, 2, 2)
 
     def test_three_horizontal_twists(self):
-        w = cf_to_word(ContinuedFraction((3,)))
-        assert w == TangleWord("h", (("h", 3),))
-        assert w.crossing_count == 3
+        t = compile_word(ContinuedFraction((3,)))
+        assert t.crossings == ((1, 2, 4, 3), (3, 4, 6, 5), (5, 6, 8, 7))
+        assert t.stubs == (1, 7, 2, 8)
 
     def test_crossing_count_is_term_sum(self):
-        w = cf_to_word(ContinuedFraction((2, 3, 1)))
-        assert w.crossing_count == 6
+        assert len(compile_word(ContinuedFraction((2, 3, 1))).crossings) == 6
+        assert len(compile_word(ContinuedFraction((None, -2, 3))).crossings) == 5
 
     def test_word_fraction_matches_cf(self):
         for f in all_reduced(12):
-            w = fraction_word(f)
-            assert word_fraction(w) == f
+            assert word_fraction(cf_to_word(fraction_to_cf(f))) == f
 
     def test_compiled_edges_occur_at_most_twice(self):
         for f in all_reduced(8):
-            t = compile_word(fraction_word(f))
+            t = compile_word(fraction_to_cf(f))
             seen: dict[int, int] = {}
             for tup in t.crossings:
                 for e in tup:
@@ -126,6 +147,22 @@ class TestWord:
             for stub in t.stubs:
                 seen[stub] = seen.get(stub, 0) + 1
             assert all(v == 2 for v in seen.values())
+
+
+class TestCompileDifferential:
+    def test_compile_matches_the_twist_word_compiler(self):
+        # the word layer the library compiled through before it read the
+        # continued fraction directly, kept in tangle_oracles
+        fractions = [TangleFraction(1, 0)] + [
+            TangleFraction(p, q)
+            for q in range(1, 60)
+            for p in range(-80, 81)
+            if gcd(abs(p), q) == 1
+        ]
+        assert len(fractions) == 5_846  # 5,845 finite ones and 1/0
+        for f in fractions:
+            cf = fraction_to_cf(f)
+            assert compile_word(cf) == compile_twist_word(cf_to_word(cf)), f
 
 
 class TestConnectivity:
@@ -136,5 +173,5 @@ class TestConnectivity:
 
     def test_parity_rule_matches_strand_tracing(self):
         for f in all_reduced(30):
-            compiled = compile_word(fraction_word(f))
+            compiled = compile_word(fraction_to_cf(f))
             assert trace_connectivity(compiled) == connectivity(f), f

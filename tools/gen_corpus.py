@@ -32,7 +32,7 @@ from tanglekit.diagram import (
     pd_string,
 )
 from tanglekit.skein import TangleTemplate, figure8_template, splice
-from tanglekit.tangle import TangleFraction
+from tanglekit.tangle import TangleFraction, fraction_to_cf
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "tanglekit" / "data" / "corpus.txt"
 
@@ -111,9 +111,7 @@ def sympy_det(d: LinkDiagram) -> int:
 
 
 def crossings_of(f: TangleFraction) -> int:
-    from tanglekit.tangle import fraction_word
-
-    return fraction_word(f).crossing_count
+    return sum(abs(a) for a in fraction_to_cf(f).terms if a)
 
 
 # name -> (conway terms, expected determinant)
