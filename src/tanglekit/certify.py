@@ -290,7 +290,8 @@ def verify_certificate(cert: Certificate) -> Verdict:
        (the fit is memoized by diagram value and the determinant in use;
        the comparison runs on every call);
     1. each justification is a base or a triple of its length, and triples
-       reference strictly earlier nodes (DAG order) by int index;
+       reference strictly earlier nodes (DAG order) by int index; an oriented
+       triple marks one of them as its resolution, an unoriented one none;
     2. exact mediant/Farey identities at every triple;
     3. nonzero determinant of every node under the ambient model;
     4. (oriented) every tag is valid, forced by the fraction where the
@@ -331,6 +332,10 @@ def verify_certificate(cert: Certificate) -> Verdict:
             if not (0 <= i < m and 0 <= j < m and i != j):
                 return Verdict(False, 1, m, "triple must reference earlier nodes")
             if not oriented:
+                if res is not None:
+                    return Verdict(
+                        False, 1, m, "unoriented triple carries a resolution marker"
+                    )
                 msg = _mediant_fault(p, q, ps[i], qs[i], ps[j], qs[j])
                 if msg is not None:
                     return Verdict(False, 2, m, msg)
@@ -488,13 +493,15 @@ def _model(cert: Certificate) -> tuple[int, int]:
     """The ambient's model, which every certificate file records, once each
     justification has a form in the file: ("base", name) with a str name or
     ("triple", i, j, resolution) with int indices and an int or None
-    resolution."""
+    resolution, None in an unoriented certificate."""
     if cert.ambient.coeffs is None:
         raise CertificateError("an ambient without a model cannot be written")
     for just in cert.justs:
         if len(just) == 4 and just[0] == "triple":
             _, i, j, res = just
-            if type(i) is int and type(j) is int and (res is None or type(res) is int):
+            if type(i) is int and type(j) is int and (
+                res is None or type(res) is int and cert.kind != UNORIENTED
+            ):
                 continue
         elif len(just) == 2 and just[0] == "base" and type(just[1]) is str:
             continue

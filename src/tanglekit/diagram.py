@@ -620,6 +620,8 @@ def fill_slot(
     present, carries to the result; a tangle whose strands join two entering
     or two leaving slot endpoints raises PDError.
     """
+    if type(slot_index) is not int:  # True and 1.0 would name slot 1
+        raise PDError(f"slot index must be an int, not {type(slot_index).__name__}")
     if not 0 <= slot_index < len(d.slots):
         raise PDError(f"slot index {slot_index} out of range")
     shift = d.arc_count

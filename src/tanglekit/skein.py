@@ -106,10 +106,17 @@ def partner(pair: FareyPair) -> TangleFraction:
 # -- splicing ----------------------------------------------------------------
 
 
+def _check_slot(t: TangleTemplate, slot: int) -> None:
+    if type(slot) is not int:  # True and 1.0 would name slot 1
+        raise TemplateError(f"slot must be an int, not {type(slot).__name__}")
+    if not 0 <= slot < t.slot_count:
+        raise TemplateError(f"slot {slot} out of range")
+
+
 @lru_cache(maxsize=256)
 def _compiled(f: TangleFraction) -> CompiledTangle:
     """The crossings and stubs of f's standard tangle. A fit splices the same
-    eight fractions into every template and a scan the same few dozen, so
+    eight fractions into every template, and a scan splices only those, so
     each is compiled once; the result is immutable."""
     return compile_word(fraction_to_cf(f))
 
@@ -121,8 +128,7 @@ def splice(t: TangleTemplate, slot: int, f: TangleFraction):
     TangleTemplate with the remaining slots. Oriented templates reject
     insertions whose endpoint pairing fights the strand directions.
     """
-    if not 0 <= slot < t.slot_count:
-        raise TemplateError(f"slot {slot} out of range")
+    _check_slot(t, slot)
     if not isinstance(f, TangleFraction):
         raise TypeError(f"splice takes a TangleFraction, not {type(f).__name__}")
     if t.diagram.is_oriented and not orientation_compatible(t, slot, f):
@@ -146,8 +152,7 @@ def orientation_compatible(t: TangleTemplate, slot: int, f: TangleFraction) -> b
     into the slot's disk to one where a strand leaves it: the rule that picks
     an oriented skein triple's resolution. Two of the three pairings pass at
     a slot with two strands in and two out."""
-    if not 0 <= slot < t.slot_count:
-        raise TemplateError(f"slot {slot} out of range")
+    _check_slot(t, slot)
     if not t.diagram.is_oriented:
         raise TemplateError("template is not oriented")
     ins = t.diagram.incoming_positions(len(t.diagram.crossings) + slot)
@@ -157,7 +162,8 @@ def orientation_compatible(t: TangleTemplate, slot: int, f: TangleFraction) -> b
 # -- determinant model ---------------------------------------------------------
 
 
-# The three probes of a fit, built once: a scan fits eight templates.
+# The three probes of a fit, built once: a scan also fills its first slot
+# with each of them and fits the three templates that leaves.
 _ZERO = TangleFraction(0, 1)
 _INFINITY = TangleFraction(1, 0)
 _ONE = TangleFraction(1, 1)
@@ -273,22 +279,30 @@ def two_slot_scan(
 
     Filling slot1 with x = p/q leaves a one-slot template whose fitted model
     is, up to sign, p*L(1/0) + s*q*L(0/1) for one sign s, where L(x) is that
-    template's fit. The form is fitted once, from the fits at 1/0, 0/1 and
-    1/1, and validated at fit_coefficients' own validation fractions. Then
-    the zero of each x is read off its (a, b): the reduced a/b when it is
-    within the bound, or every fraction when (a, b) = (0, 0). The linear
-    model holds for planar templates, so other templates are refused.
+    template's fit. By the linear determinant model this bilinear form holds
+    on every planar template, so it is read off three fits, at 1/0, 0/1 and
+    1/1 (the last picks s), and not checked at further fractions; other
+    templates are refused. Then the zero of each x is read off its (a, b):
+    the reduced a/b when it is within the bound, or every fraction when
+    (a, b) = (0, 0).
     """
     if t.slot_count != 2:
         raise TemplateError("scan needs exactly two open slots")
+    if type(slot1) is not int or type(slot2) is not int:
+        raise TemplateError(
+            f"scan slots must be ints, not {type(slot1).__name__} and "
+            f"{type(slot2).__name__}"
+        )
     if {slot1, slot2} != {0, 1}:
         raise TemplateError(f"scan slots must be 0 and 1, not {slot1} and {slot2}")
     if t.diagram.is_oriented:
         raise TemplateError("scan needs an unoriented template")
     if not is_planar(t.diagram):
-        # the linear form can hold at every validation fraction and still
-        # miss zeros elsewhere on a diagram that is not planar
+        # the linear form can hold at every fit's validation fractions and
+        # still miss zeros elsewhere on a diagram that is not planar
         raise TemplateError("scan needs a planar template")
+    if type(bound) is not int:
+        raise TemplateError(f"scan bound must be an int, not {type(bound).__name__}")
     if bound < 0:
         raise TemplateError(f"scan bound {bound} is negative")
     if bound > MAX_SCAN_BOUND:
@@ -317,10 +331,6 @@ def two_slot_scan(
             f"{l_one} at 1/1"
         )
     s = signs[0]
-    for f in _FIT_VALIDATION:
-        got, want = fit_at(f), form(s, f.p, f.q)
-        if not agrees(want, got):
-            raise TemplateError(f"two-slot model {want} fails at {f}: fit {got}")
 
     every = tuple(fractions)
     records = []

@@ -320,6 +320,8 @@ BRANCH_FORGERIES = [
      Verdict(False, 5, 0, "0/1 (hopf) is not an unknot or Hopf base")),
     ("unoriented-tag", None, _set(["nodes", 0, "orient"], PARALLEL),
      Verdict(False, 4, 0, "unoriented node carries a tag")),
+    ("unoriented-resolution", None, _set(["nodes", 2, "just", "resolution"], 7),
+     Verdict(False, 1, 2, "unoriented triple carries a resolution marker")),
     ("integer-halves", ANTIPARALLEL, _three_integers,
      Verdict(False, 2, 2, "7/3 and 1/1 do not span a Farey pair")),
 ]
@@ -688,6 +690,9 @@ class TestOneFittedModel:
         # not JSON as certificate_text wrote them, or not loadable
         ("triple", "a", "b", None), ("triple", 0, 1.0, None), ("triple", True, 0, None),
         ("triple", 0, 1, "1"), ("triple", 0, 1, False), ("base", None), ("base", 1.0),
+        # a resolution marker in an unoriented certificate ("resolution": 7
+        # was written)
+        ("triple", 0, 1, 7), ("triple", 0, 1, 0),
     ])
     def test_justification_without_a_file_form_is_not_written(self, just, tmp_path):
         c = span_certificate(F("2/5"))

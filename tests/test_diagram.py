@@ -368,6 +368,13 @@ class TestFillSlot:
         assert len(out.crossings) == 1
         assert components(out) == 1
 
+    @pytest.mark.parametrize("slot", [True, False, 0.0, 1.0])
+    def test_slot_index_must_be_an_exact_int(self, slot):
+        # a bool indexes the slot tuple as 0 or 1; a float reached the index
+        d = parse_pd("T[1,2,3,4] T[2,1,4,3]")
+        with pytest.raises(PDError, match="slot index must be an int"):
+            fill_slot(d, slot, (), (1, 1, 2, 2))
+
 
 class TestUnionFind:
     def test_bulk_merge_and_roots_match_one_pair_at_a_time(self):

@@ -169,7 +169,7 @@ def forged(rng, cert, templates):
     kind, ambient, nodes = cert.kind, cert.ambient, list(cert.nodes)
     for _ in range(rng.randint(1, 3)):
         m = rng.randrange(len(nodes)) if nodes else 0
-        edit = rng.randrange(7)
+        edit = rng.randrange(8)
         if edit == 0 and nodes:
             n = nodes[m]
             nodes[m] = CertNode(n.frac, rng.choice((*TAGS, None)), n.just)
@@ -189,6 +189,10 @@ def forged(rng, cert, templates):
             k = rng.randrange(1, len(n.just))
             just = n.just[:k] + (rng.choice(NOT_INTS),) + n.just[k + 1 :]
             nodes[m] = CertNode(n.frac, n.orient, just)
+        elif edit == 6 and kind == "unoriented" and nodes and len(nodes[m].just) == 4:
+            # a parent marked as the resolution of an unoriented triple
+            n = nodes[m]
+            nodes[m] = CertNode(n.frac, n.orient, (*n.just[:3], rng.choice(n.just[1:3])))
         else:
             ambient = rng.choice(templates)
     return Certificate(kind, nodes, ambient)
@@ -272,7 +276,15 @@ def pick(pool):
 
 D, T, P, C = pick(DIAGRAMS), pick(TEMPLATES), pick(PAIRS), pick(CERTS)
 OPT_T = lambda rng: rng.choice((None, T(rng)))  # noqa: E731
-SLOT = lambda rng: rng.randint(-1, 2)  # noqa: E731
+NOT_EXACT = (True, False, 1.0)  # each equals an int without being one
+
+
+def or_not_exact(make):
+    """A drawer of make's ints, one time in five a bool or a float instead."""
+    return lambda rng: make(rng) if rng.random() < 0.8 else rng.choice(NOT_EXACT)
+
+
+SLOT = or_not_exact(lambda rng: rng.randint(-1, 2))
 NODES = lambda rng: rng.choice(CERTS).nodes  # noqa: E731
 
 # public callable -> argument makers; "path" stands for a file of random
@@ -329,7 +341,7 @@ CALLS_BY_NAME = {
     "save_certificate": (C, "path"),
     "span_certificate": (fraction, OPT_T),
     "splice": (T, SLOT, fraction),
-    "two_slot_scan": (T, SLOT, SLOT, lambda rng: rng.randint(-1, 3)),
+    "two_slot_scan": (T, SLOT, SLOT, or_not_exact(lambda rng: rng.randint(-1, 3))),
     "verify_certificate": (C,),
     "zero_locus": (T,),
 }

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -276,6 +277,15 @@ class TestSlotRange:
                 with pytest.raises(TemplateError, match="out of range"):
                     query()
 
+    @pytest.mark.parametrize("slot", [True, False, 0.0, 1.0])
+    def test_slot_must_be_an_exact_int(self, slot):
+        # True and 1.0 equal 1, so a range test passed them as slot 1
+        for t in (NECKLACE2, NECKLACE2.oriented((1, -1, 1, -1))):
+            with pytest.raises(TemplateError, match="slot must be an int"):
+                splice(t, slot, F("1/2"))
+        with pytest.raises(TemplateError, match="slot must be an int"):
+            orientation_compatible(NECKLACE2.oriented((1, -1, 1, -1)), slot, F("1/2"))
+
     def test_second_slot_of_an_oriented_two_slot_template(self):
         t = NECKLACE2.oriented((1, -1, 1, -1))
         # strands run in at endpoints 1 and 3 and out at 0 and 2
@@ -411,6 +421,20 @@ class TestTwoSlotScan:
             with pytest.raises(TemplateError):
                 two_slot_scan(NECKLACE2, *slots, 0)
 
+    @pytest.mark.parametrize(
+        "slots", [(True, False), (0, True), (1.0, 0), (0, 1.0), (0.0, 1)]
+    )
+    def test_slots_must_be_exact_ints(self, slots):
+        # {True, False} == {0, 1}, so a set test scanned them as slots 0 and 1
+        with pytest.raises(TemplateError, match="scan slots must be ints"):
+            two_slot_scan(NECKLACE2, *slots, 2)
+
+    @pytest.mark.parametrize("bound", [True, False, 2.5, 2.0])
+    def test_bound_must_be_an_exact_int(self, bound):
+        # a True bound was reported as True; 2.5 reached range()
+        with pytest.raises(TemplateError, match="scan bound must be an int"):
+            two_slot_scan(NECKLACE2, 0, 1, bound)
+
     def test_rejects_non_planar_template(self, monkeypatch):
         # the linear form passes every validation fit on this diagram, yet
         # misses the second zero that enumeration finds for seven x
@@ -437,6 +461,56 @@ class TestTwoSlotScan:
         report = two_slot_scan(NECKLACE2, 0, 1, MAX_SCAN_BOUND)
         assert len(report.records) == len(reduced_fractions(MAX_SCAN_BOUND))
         assert all(ws == (x.mirror(),) for x, _, ws in report.records)
+
+
+def scan_digest(reports) -> str:
+    """SHA-256 over the report lines of a sequence of scans."""
+    h = hashlib.sha256()
+    for report in reports:
+        h.update(("\n".join(report.lines()) + "\n\n").encode())
+    return h.hexdigest()
+
+
+class TestScanGoldens:
+    """Scan reports pinned by digest, as the closed form with its five extra
+    validation fits printed them: 124 stock scans and 1,000 random ones."""
+
+    # necklace2 and stack2 give the same report, in either slot order: the
+    # zero of x is its mirror
+    STOCK = "e20a9c51979f881e8e29ed4ab9db3ea228bc81e4774c41b7ceda934347f8aded"
+    # ten blocks of 100 seeded planar templates with 0-5 crossings, slot
+    # order and bound (0-6) drawn with each
+    RANDOM = (
+        "7c6c0643eea7d94c738148e6d46d3cc89e886d8227b0c3267de945b9c9b14a96",
+        "8fcc8e7d91a472b692d4ff53fff269aafc29a5dd63933bed8a13fdf0ae656693",
+        "d3ec6c6dcb4d857fc717e152cc5d431ba483923ab6a34508746ca3c02eaedb2b",
+        "fcfa5ca1c78135df9dbbd4fef12e596726e2ec0b11653d1f58e4a857b5898862",
+        "82ac8f8ae904387d6d6bfe28f8c3b8c7ccbdc89baa73d5c317375c01094e782c",
+        "6920846cc2662bfd44da1d03d79ab6f3785534eeb4d842582f00454f80238e96",
+        "8f16ec4f53cf9e9f5c3f845a4524d4df1816ef06dc04658bf6f45e91a4bc7d91",
+        "7f734a22658636b05cd8e235cc1b626c3471e759fe64b816389812a238b67df3",
+        "954daba77ec16b92036279f4ac4b7992ff39f98abadaede2166efd84a31c51d6",
+        "a4eeba912b42b0bdfee39cbc01d85cab75b4a3791ab5f243c7bce115b5d39b0a",
+    )
+
+    @pytest.mark.parametrize("name", ["necklace2", "stack2"])
+    @pytest.mark.parametrize("slots", [(0, 1), (1, 0)])
+    def test_stock_templates_at_bounds_0_to_30(self, name, slots):
+        t = bundled_templates()[name]
+        scans = (two_slot_scan(t, *slots, b) for b in range(MAX_SCAN_BOUND + 1))
+        assert scan_digest(scans) == self.STOCK
+
+    def test_random_planar_templates(self):
+        rng = random.Random(1124)
+        digests = []
+        for _ in range(10):
+            scans = []
+            for _ in range(100):
+                d = random_planar_two_slot(rng, rng.randint(0, 5))
+                slots = rng.choice(((0, 1), (1, 0)))
+                scans.append(two_slot_scan(TangleTemplate(d), *slots, rng.randint(0, 6)))
+            digests.append(scan_digest(scans))
+        assert tuple(digests) == self.RANDOM
 
 
 def random_planar_two_slot(rng: random.Random, crossings: int) -> LinkDiagram:
@@ -520,3 +594,31 @@ class TestCompileOnce:
         assert tanglekit.skein._compiled.cache_info().maxsize == 256
         for f in reduced_fractions(4):
             assert tanglekit.skein._compiled(f) == compile_word(fraction_to_cf(f))
+
+
+class TestScanCost:
+    """A scan makes three fits, whatever its bound: the first slot filled
+    with 1/0, 0/1 and 1/1, each fitted by three probes and five validations."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"fit_coefficients": 0, "determinant": 0, "splice": 0}
+        for name in counts:
+            real = getattr(tanglekit.skein, name)
+
+            def counted(*args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(tanglekit.skein, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("name", ["necklace2", "stack2"])
+    @pytest.mark.parametrize("bound", [1, 4, MAX_SCAN_BOUND])
+    def test_three_fits_and_24_determinants(self, calls, name, bound):
+        two_slot_scan(bundled_templates()[name], 0, 1, bound)
+        assert calls == {"fit_coefficients": 3, "determinant": 24, "splice": 27}
+
+    def test_bound_zero_fits_nothing(self, calls):
+        assert two_slot_scan(NECKLACE2, 1, 0, 0).records == ()
+        assert calls == {"fit_coefficients": 0, "determinant": 0, "splice": 0}
