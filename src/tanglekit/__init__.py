@@ -28,7 +28,6 @@ _SUBMODULE_NAMES = {
         "Verdict",
         "certificate_from_json",
         "certificate_to_json",
-        "connected_sum_certificate",
         "load_certificate",
         "oriented_span_certificate",
         "save_certificate",
@@ -38,7 +37,6 @@ _SUBMODULE_NAMES = {
     "coloring": ("ColoringMatrix", "coloring_matrix", "determinant", "n_colorable"),
     "corpus": ("CorpusEntry", "bundled_templates", "load_corpus"),
     "diagram": (
-        "CrossingSite",
         "LinkDiagram",
         "PDError",
         "components",

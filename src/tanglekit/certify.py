@@ -28,17 +28,20 @@ from functools import lru_cache
 from math import gcd
 
 from ._record import _Record
-from .coloring import determinant
-from .diagram import LinkDiagram, PDError, components, connected_sum, parse_pd
+from .diagram import LinkDiagram, PDError, parse_pd, pd_string
 from . import skein as _skein
 from .skein import TangleTemplate, TemplateError, figure8_template, fit_coefficients
-from .skein import insertion_det, splice
+from .skein import insertion_det
+# unused here: check 0 keys its refit memo on the skein layer's binding, read
+# per call; this one keeps certify among the modules that perfbench's tracer
+# self-test expects to bind coloring.determinant (ROADMAP item 1 drops that)
+from .skein import determinant  # noqa: F401
 from .tangle import ANTIPARALLEL, PARALLEL, TangleFraction
 
 __all__ = [
     "Certificate", "CertNode", "OrientedTarget", "Verdict", "CertificateError",
     "span_certificate", "oriented_span_certificate", "verify_certificate",
-    "connected_sum_certificate", "certificate_to_json", "certificate_from_json",
+    "certificate_to_json", "certificate_from_json",
     "certificate_text", "save_certificate", "load_certificate", "UNORIENTED",
     "ORIENTED",
 ]
@@ -425,47 +428,10 @@ def _normalized(p: int, q: int) -> tuple[int, int]:
     return (-p, -q) if q < 0 else (p, q)
 
 
-# -- composition -----------------------------------------------------------------
-
-
-def connected_sum_certificate(
-    c1: Certificate, c2: Certificate, k2: LinkDiagram
-) -> Certificate:
-    """Lift every node of c1 to its connected sum with k2.
-
-    c2 must be a verified certificate witnessing k2's closure (its target
-    insertion matches k2's determinant and component count). Determinants
-    multiply, so the lifted ambient's coefficients scale by det(k2) and the
-    lifted certificate verifies as-is.
-    """
-    det2 = determinant(k2)
-    if det2 == 0:
-        raise CertificateError("summand has determinant zero")
-    v1 = verify_certificate(c1)
-    if not v1.accepted:
-        raise CertificateError(f"first certificate does not verify: {v1}")
-    v2 = verify_certificate(c2)
-    if not v2.accepted:
-        raise CertificateError(f"witness certificate does not verify: {v2}")
-    witness = splice(
-        TangleTemplate(c2.ambient.diagram.with_orientation(None)), 0, c2.target
-    )
-    if determinant(witness) != det2 or components(witness) != components(k2):
-        raise CertificateError(
-            "witness certificate does not match the summand's invariants"
-        )
-    lifted_diagram = connected_sum(c1.ambient.diagram, 1, k2, 1)
-    a, b = c1.ambient.coeffs
-    lifted = TangleTemplate(lifted_diagram, (a * det2, b * det2))
-    return Certificate._columns(c1.kind, lifted, c1.ps, c1.qs, c1.tags, c1.justs)
-
-
 # -- serialization ---------------------------------------------------------------
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    from .diagram import pd_string
-
     model = _model(cert)
     nodes = []
     for p, q, tag, just in zip(cert.ps, cert.qs, cert.tags, cert.justs):
@@ -582,46 +548,10 @@ def _field(obj: dict, key: str, typ: type, where: str):
 
 
 def certificate_text(cert: Certificate) -> str:
-    """The certificate as file text: the bytes of
-    `json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\\n"`,
-    written here from the node columns, because with an indent the `json`
-    module leaves its C encoder for a pure-Python one. `save_certificate`
-    writes it and the `certify` verb prints it.
-
-    Fractions and node indices are integers, so only names (kind, base
-    names, orientation tags, the ambient's PD) go through `json.dumps`,
-    each distinct one once.
-    """
-    from .diagram import pd_string
-
-    a, b = _model(cert)
-    quoted: dict[str, str] = {}
-
-    def quote(name: str) -> str:
-        text = quoted.get(name)
-        if text is None:
-            text = quoted[name] = json.dumps(name)
-        return text
-
-    nodes = []
-    for p, q, tag, just in zip(cert.ps, cert.qs, cert.tags, cert.justs):
-        if just[0] == "base":
-            body = f'"base": {quote(just[1])}'
-        else:
-            body = f'"triple": [\n          {just[1]},\n          {just[2]}\n        ]'
-            if just[3] is not None:
-                body = f'"resolution": {just[3]},\n        {body}'
-        orient = "" if tag is None else f',\n      "orient": {quote(tag)}'
-        nodes.append(
-            f'    {{\n      "frac": "{p}/{q}",\n      "just": {{\n        {body}\n'
-            f"      }}{orient}\n    }}"
-        )
-    listing = "[\n" + ",\n".join(nodes) + "\n  ]" if nodes else "[]"
-    return (
-        f'{{\n  "ambient": {{\n    "coeffs": [\n      {a},\n      {b}\n    ],\n'
-        f'    "pd": {quote(pd_string(cert.ambient.diagram))}\n  }},\n'
-        f'  "kind": {quote(cert.kind)},\n  "nodes": {listing}\n}}\n'
-    )
+    """The certificate as file text: JSON indented by 2, with sorted keys and
+    a final newline. `save_certificate` writes it and the `certify` verb
+    prints it."""
+    return json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\n"
 
 
 def save_certificate(cert: Certificate, path: str) -> None:

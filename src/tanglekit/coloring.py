@@ -394,6 +394,8 @@ def n_colorable(d: LinkDiagram, n: int) -> bool:
     diagrams; where they disagree on a diagram that is not planar, PDError
     says so.
     """
+    if type(n) is not int:  # 5.0 passed the primality test and answered False
+        raise ValueError(f"modulus must be an int, not {type(n).__name__}")
     if not _is_prime(n):
         raise ValueError(f"{n} is not prime")
     if d.slots:

@@ -19,7 +19,7 @@ from .diagram import LinkDiagram, parse_pd
 if TYPE_CHECKING:  # the skein layer loads only when templates are asked for
     from .skein import TangleTemplate
 
-__all__ = ["CorpusEntry", "load_corpus", "bundled_corpus_text", "bundled_templates"]
+__all__ = ["CorpusEntry", "load_corpus", "bundled_templates"]
 
 
 class CorpusEntry(_Record):
@@ -43,15 +43,11 @@ def parse_manifest(text: str) -> tuple[CorpusEntry, ...]:
     return tuple(entries)
 
 
-def bundled_corpus_text() -> str:
-    return (
-        resources.files("tanglekit").joinpath("data/corpus.txt").read_text("utf-8")
-    )
-
-
 def load_corpus(path: str | None = None) -> tuple[CorpusEntry, ...]:
+    """The manifest at path, or the bundled one."""
     if path is None:
-        return parse_manifest(bundled_corpus_text())
+        bundled = resources.files("tanglekit").joinpath("data/corpus.txt")
+        return parse_manifest(bundled.read_text("utf-8"))
     with open(path, "r", encoding="utf-8") as fh:
         return parse_manifest(fh.read())
 

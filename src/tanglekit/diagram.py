@@ -41,7 +41,6 @@ from ._record import _Record
 
 __all__ = [
     "LinkDiagram",
-    "CrossingSite",
     "PDError",
     "parse_pd",
     "pd_string",
@@ -62,14 +61,9 @@ class PDError(ValueError):
     """Malformed PD text or invalid diagram data."""
 
 
-class CrossingSite(_Record):
-    __slots__ = _fields = ("index",)
-
-
-def _site_index(site: "CrossingSite | int") -> int:
-    """The crossing index of a site, which must be an int, bare or in a
-    CrossingSite: a float or bool would name a crossing it only rounds to."""
-    i = site.index if isinstance(site, CrossingSite) else site
+def _site_index(i: int) -> int:
+    """A crossing index, which must be an exact int: a float or bool would
+    name a crossing it only rounds to."""
     if type(i) is not int:
         raise PDError(f"crossing site must be an int, not {type(i).__name__}")
     return i
@@ -175,6 +169,8 @@ class LinkDiagram(_Record):
         (`_label_rule`)."""
         crossings = [tuple(t) for t in crossings]
         slots = [tuple(t) for t in slots]
+        if type(loops) is not int:  # a bool or float would count loops it rounds to
+            raise PDError(f"loop count must be an int, not {type(loops).__name__}")
         if loops < 0:
             raise PDError("negative loop count")
         if not crossings and not slots and loops == 0:
@@ -505,7 +501,7 @@ def _smooth(d: LinkDiagram, i: int, which: int, heads: set[int] | None) -> LinkD
     return _surgery(d, rest, d.slots, joins, where, heads)
 
 
-def resolve(d: LinkDiagram, site: "CrossingSite | int", which: int) -> LinkDiagram:
+def resolve(d: LinkDiagram, site: int, which: int) -> LinkDiagram:
     """Smooth one crossing the chosen way (0 or 1); the input diagram, and its
     two smoothings at a site, form an unoriented skein triple by construction.
     """
@@ -519,7 +515,7 @@ def resolve(d: LinkDiagram, site: "CrossingSite | int", which: int) -> LinkDiagr
     return _smooth(d, i, which, None)
 
 
-def crossing_change(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
+def crossing_change(d: LinkDiagram, site: int) -> LinkDiagram:
     """Swap over/under at one crossing; an involution on canonical diagrams.
 
     Strand directions are physical data, so an oriented diagram keeps every
@@ -539,7 +535,7 @@ def crossing_change(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
     return _surgery(d, crossings, d.slots, (), where, heads)
 
 
-def oriented_resolve(d: LinkDiagram, site: "CrossingSite | int") -> LinkDiagram:
+def oriented_resolve(d: LinkDiagram, site: int) -> LinkDiagram:
     """The unique smoothing consistent with strand directions at the site;
     orientation carries to the result."""
     i = _site_index(site)

@@ -238,6 +238,8 @@ def insertion_det(t: TangleTemplate, f: TangleFraction) -> int:
 
 def reduced_fractions(bound: int) -> list[TangleFraction]:
     """All reduced p/q with |p| <= bound and q <= bound, including 1/0."""
+    if type(bound) is not int:  # True would list bound 1's fractions
+        raise ValueError(f"bound must be an int, not {type(bound).__name__}")
     out = []
     if bound >= 1:
         out.append(TangleFraction(1, 0))

@@ -433,6 +433,13 @@ class TestColorability:
         with pytest.raises(ValueError):
             n_colorable(TREFOIL, 6)
 
+    @pytest.mark.parametrize("n", [3.0, 5.0, True, 3.5])
+    def test_modulus_must_be_an_exact_int(self, n):
+        # 3.0 reached pow() and raised TypeError; 5.0 passed the primality
+        # test and answered False
+        with pytest.raises(ValueError, match="modulus must be an int"):
+            n_colorable(TREFOIL, n)
+
     @pytest.mark.parametrize("n", [1763, 1681, 3215031751])
     def test_composites_without_small_factors_are_refused(self, n):
         # no base divides 1763 = 41*43 or 1681 = 41**2 (whose n - 1 = 16*105

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,6 @@ from tanglekit.certify import Certificate, CertNode, OrientedTarget, Verdict
 from tanglekit.coloring import ColoringMatrix
 from tanglekit.corpus import CorpusEntry
 from tanglekit.diagram import (
-    CrossingSite,
     _UnionFind,
     LinkDiagram,
     PDError,
@@ -137,6 +138,15 @@ class TestParse:
         with pytest.raises(PDError, match="positive integers"):
             LinkDiagram([t])
 
+    @pytest.mark.parametrize("loops", [2.0, True, 0.0])
+    def test_loop_count_must_be_an_exact_int(self, loops):
+        # 2.0 was stored, so components returned 2.0 and pd_string raised
+        # TypeError; True counted one loop
+        with pytest.raises(PDError, match="loop count must be an int"):
+            LinkDiagram((), (), loops)
+        with pytest.raises(PDError, match="loop count must be an int"):
+            LinkDiagram(parse_pd(HOPF).crossings, (), loops)
+
     def test_constructor_applies_the_label_rule(self):
         # the constructor renumbers and canonicalizes what parse_pd accepts,
         # and its errors name the caller's labels
@@ -188,14 +198,15 @@ class TestResolve:
     def test_differs_only_at_site(self):
         # every other crossing survives with merged labels only
         d = parse_pd(TREFOIL)
-        r = resolve(d, CrossingSite(1), 0)
+        r = resolve(d, 1, 0)
         assert len(r.crossings) == 2
 
     @pytest.mark.parametrize(
-        "site", [1.7, True, 1.0, "1", CrossingSite(1.7), CrossingSite(True)]
+        "site", [1.7, True, 1.0, "1", Fraction(1), Decimal(1)]
     )
     def test_site_must_be_an_exact_int(self, site):
-        # int() would truncate 1.7 and True to crossing 1 and smooth it
+        # int() would truncate 1.7 and True to crossing 1 and smooth it, and
+        # the last two equal 1
         d = parse_pd(TREFOIL)
         oriented = d.with_orientation((1,))
         for verb in (
@@ -455,7 +466,6 @@ NODE_REPR = (
 RECORDS = [
     (lambda: parse_pd(UNKNOT_KINK),
      "LinkDiagram(crossings=((1, 2, 2, 1),), slots=(), loops=0, orientation=None)"),
-    (lambda: CrossingSite(3), "CrossingSite(index=3)"),
     (lambda: ColoringMatrix(((1, -1), (-1, 1))),
      "ColoringMatrix(entries=((1, -1), (-1, 1)))"),
     (lambda: F(-2, 5), "TangleFraction(p=-2, q=5)"),
@@ -513,7 +523,6 @@ class TestValueSemantics:
         assert a != parse_pd(HOPF) and a != a.crossings
         assert a != a.with_orientation((1,))
         assert len({a, b, parse_pd(HOPF)}) == 2
-        assert CrossingSite(1) == CrossingSite(1) != CrossingSite(2)
         assert LinkDiagram(a.crossings) == a
 
     def test_fields_cannot_change(self):
@@ -522,6 +531,4 @@ class TestValueSemantics:
             d.loops = 1
         with pytest.raises(AttributeError):
             del d.crossings
-        with pytest.raises(AttributeError):
-            CrossingSite(1).index = 2
         assert d == parse_pd(HOPF)

@@ -296,7 +296,7 @@ CALLS_BY_NAME = {
     "LinkDiagram": (
         lambda rng: [quad(rng) for _ in range(rng.randint(0, 3))],
         lambda rng: [quad(rng) for _ in range(rng.randint(0, 2))],
-        lambda rng: rng.randint(-1, 2),
+        or_not_exact(lambda rng: rng.randint(-1, 2)),
         lambda rng: rng.choice((None, flags(rng))),
     ),
     "OrientedTarget": (fraction, lambda rng: rng.choice(TAGS)),
@@ -313,9 +313,8 @@ CALLS_BY_NAME = {
     "compile_word": (cf,),
     "components": (D,),
     "connected_sum": (D, small, D, small),
-    "connected_sum_certificate": (C, C, D),
     "connectivity": (fraction,),
-    "crossing_change": (D, small),
+    "crossing_change": (D, or_not_exact(small)),
     "determinant": (D,),
     "disjoint_union": (D, D),
     "figure8_template": (lambda rng: rng.choice((None, *TAGS)),),
@@ -329,15 +328,15 @@ CALLS_BY_NAME = {
     "load_certificate": ("path",),
     "load_corpus": ("path",),
     "mediant": (P,),
-    "n_colorable": (D, small),
+    "n_colorable": (D, or_not_exact(small)),
     "orientation_compatible": (T, SLOT, fraction),
-    "oriented_resolve": (D, small),
+    "oriented_resolve": (D, or_not_exact(small)),
     "oriented_span_certificate": (target, OPT_T),
     "parse_pd": (pd_text,),
     "partner": (P,),
     "pd_string": (D,),
-    "reduced_fractions": (small,),
-    "resolve": (D, small, lambda rng: rng.randint(-1, 2)),
+    "reduced_fractions": (or_not_exact(small),),
+    "resolve": (D, or_not_exact(small), lambda rng: rng.randint(-1, 2)),
     "save_certificate": (C, "path"),
     "span_certificate": (fraction, OPT_T),
     "splice": (T, SLOT, fraction),
@@ -349,7 +348,7 @@ CALLS_BY_NAME = {
 # exceptions and records that check nothing (fields are stored as given)
 UNCHECKED = {
     "CertificateError", "PDError", "TemplateError", "CertNode", "ColoringMatrix",
-    "CompiledTangle", "CorpusEntry", "CrossingSite", "ScanReport", "Verdict",
+    "CompiledTangle", "CorpusEntry", "ScanReport", "Verdict",
 }
 
 

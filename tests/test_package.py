@@ -1,5 +1,6 @@
 """The package namespace: lazy submodule loading and name resolution."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -43,12 +44,12 @@ print(code, "dataclasses" in sys.modules, "inspect" in sys.modules)
 """
 
 
-def run_loaded(*argv):
+def run_loaded(*argv, cwd=SRC):
     """Output lines of LOADED for one verb: the loaded submodules after the
     package import, the verb's own output, the loaded submodules after it."""
     proc = subprocess.run(
         [sys.executable, "-c", LOADED, *argv], capture_output=True, text=True,
-        cwd=SRC, check=True, timeout=60,
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True, timeout=60,
     )
     return proc.stdout.splitlines()
 
@@ -71,6 +72,42 @@ def test_corpus_check_loads_no_skein_layer():
     ])
 
 
+# the submodules each verb loads besides _record and cli: every one of them
+# is compiled from source in a process that writes no bytecode
+SKEIN_LAYERS = ["coloring", "diagram", "skein", "tangle"]
+VERB_MODULES = [
+    (["certify", "21/55", "-o", "c.json"], ["certify", *SKEIN_LAYERS]),
+    (["verify", "c.json"], ["certify", *SKEIN_LAYERS]),
+    (["template", "fit", "T[1,2,1,2]"], SKEIN_LAYERS),
+    (["tangle", "cf", "21/55"], ["tangle"]),
+]
+
+
+def test_each_verb_loads_only_the_layers_it_needs(tmp_path):
+    # certify writes the file verify reads
+    for argv, modules in VERB_MODULES:
+        at_import, *_, after = run_loaded(*argv, cwd=tmp_path)
+        assert at_import == "[]", argv
+        expected = sorted(f"tanglekit.{m}" for m in ["_record", "cli", *modules])
+        assert after == str(expected), argv
+
+
+def test_certify_imports_nothing_from_the_coloring_layer():
+    # the certificate layer reads determinants only through the skein layer's
+    # model and fits, never from coloring directly
+    tree = ast.parse((SRC / "tanglekit" / "certify.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "tanglekit" if node.level else ""
+            base = ".".join(filter(None, (base, node.module)))
+            imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    assert imported, "no imports found"
+    assert not [m for m in imported if m.startswith("tanglekit.coloring")], imported
+
+
 def test_no_verb_imports_dataclasses_or_inspect(tmp_path):
     # each verb in a fresh interpreter; certify writes the file verify reads
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -83,7 +120,7 @@ def test_no_verb_imports_dataclasses_or_inspect(tmp_path):
 
 
 def test_every_public_name_resolves_to_its_submodule():
-    assert len(tanglekit.__all__) == len(set(tanglekit.__all__)) == 56
+    assert len(tanglekit.__all__) == len(set(tanglekit.__all__)) == 54
     for name in tanglekit.__all__:
         value = getattr(tanglekit, name)
         home = sys.modules[f"tanglekit.{tanglekit._HOME[name]}"]

@@ -2,10 +2,10 @@
 
 import pytest
 
-from tanglekit.certify import span_certificate, connected_sum_certificate, verify_certificate
+from tanglekit.certify import span_certificate, verify_certificate
 from tanglekit.coloring import bareiss_determinant, coloring_matrix, determinant
 from tanglekit.corpus import bundled_templates, load_corpus
-from tanglekit.diagram import LinkDiagram, resolve
+from tanglekit.diagram import LinkDiagram, connected_sum, resolve
 from tanglekit.skein import (
     FareyPair,
     TangleTemplate,
@@ -166,6 +166,8 @@ class TestLinearModelExhaustive:
 
 class TestConnectedSumLiftOverCorpus:
     def test_lift_accepts_for_every_corpus_knot(self):
+        # figure8 # K has the model (det K, 0): check 0 refits it, and the
+        # certificate keeps figure8's nodes
         certs = [
             span_certificate(TangleFraction(1, 3)),
             span_certificate(TangleFraction(2, 5)),
@@ -174,12 +176,13 @@ class TestConnectedSumLiftOverCorpus:
         for e in CORPUS:
             if e.components != 1 or e.determinant == 0:
                 continue
-            witness = span_certificate(TangleFraction(1, e.determinant))
+            summed = connected_sum(FIG8.diagram, 1, e.diagram(), 1)
+            ambient = TangleTemplate(summed, (e.determinant, 0))
             for c1 in certs:
-                lifted = connected_sum_certificate(c1, witness, e.diagram())
+                lifted = span_certificate(c1.target, ambient)
                 v = verify_certificate(lifted)
                 assert v.accepted, (e.name, str(v))
-                assert lifted.ambient.coeffs == (e.determinant, 0)
+                assert (lifted.ps, lifted.qs, lifted.justs) == (c1.ps, c1.qs, c1.justs)
 
 
 class TestHalfIntegerClosures:

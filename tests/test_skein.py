@@ -121,6 +121,14 @@ class TestMediant:
         assert len({f.parity(), g.parity(), m.parity()}) == 3
 
 
+class TestReducedFractions:
+    @pytest.mark.parametrize("bound", [True, False, 2.0, 1.5])
+    def test_bound_must_be_an_exact_int(self, bound):
+        # True listed bound 1's four fractions; 2.0 reached range()
+        with pytest.raises(ValueError, match="bound must be an int"):
+            reduced_fractions(bound)
+
+
 class TestFigure8Template:
     def test_fit_is_det_q(self):
         t = TangleTemplate(parse_pd("T[1,2,1,2]"))
