@@ -34,7 +34,7 @@ _SUBMODULE_NAMES = {
         "span_certificate",
         "verify_certificate",
     ),
-    "coloring": ("ColoringMatrix", "coloring_matrix", "determinant", "n_colorable"),
+    "coloring": ("coloring_matrix", "determinant", "n_colorable"),
     "corpus": ("CorpusEntry", "bundled_templates", "load_corpus"),
     "diagram": (
         "LinkDiagram",

@@ -89,7 +89,8 @@ class Certificate(_Record):
     """Nodes are kept as parallel columns: numerators `ps`, denominators `qs`,
     orientation `tags` and justification tuples `justs`. The `nodes` view
     builds their CertNode records on each access; equality, hash, repr and
-    pickling go through it."""
+    pickling go through it. A generated certificate ends at its target,
+    `TangleFraction(cert.ps[-1], cert.qs[-1])`."""
 
     __slots__ = ("kind", "ambient", "ps", "qs", "tags", "justs")
     _fields = ("kind", "nodes", "ambient")
@@ -115,10 +116,6 @@ class Certificate(_Record):
     def nodes(self) -> tuple[CertNode, ...]:
         fracs = map(TangleFraction, self.ps, self.qs)
         return tuple(map(CertNode, fracs, self.tags, self.justs))
-
-    @property
-    def target(self) -> TangleFraction:
-        return TangleFraction(self.ps[-1], self.qs[-1])
 
     def __len__(self) -> int:
         return len(self.ps)
@@ -478,9 +475,12 @@ def _model(cert: Certificate) -> tuple[int, int]:
 def certificate_from_json(data: dict) -> Certificate:
     """Rebuild a certificate from its JSON form.
 
-    The shape is checked here and anything else raises CertificateError;
-    what the values mean (kinds, tags, indices, identities) is left to
-    verify_certificate, which rejects with a check number.
+    The shape is checked here and anything else raises CertificateError.
+    Each node is read only in the form certificate_to_json writes: a reduced
+    fraction as "p/q", and a justification that is {"base": name} alone or
+    {"triple": [i, j]} with an optional int "resolution". What the values
+    mean (kinds, tags, indices, identities) is left to verify_certificate,
+    which rejects with a check number.
     """
     if not isinstance(data, dict):
         raise CertificateError("a certificate must be a JSON object")
@@ -506,21 +506,26 @@ def certificate_from_json(data: dict) -> Certificate:
             raise CertificateError(f"node {m}: 'just' must be a JSON object")
         if orient is not None and not isinstance(orient, str):
             raise CertificateError(f"node {m}: 'orient' must be a JSON string")
-        # the recorded value itself must be a reduced p/q, not merely denote one
-        num, sep, den = text.partition("/")
+        # the recorded value itself must be a reduced p/q, not merely denote
+        # one, written as the writer writes it: no sign on 0, padding,
+        # underscores or non-ASCII digits, and always with its denominator
+        num, _, den = text.partition("/")
         try:
-            p, q = int(num), int(den) if sep else 1
+            p, q = int(num), int(den)
             if q <= 0 or gcd(p, q) != 1:
                 TangleFraction(p, q)  # raises why, unless the value is 1/0
         except ValueError as exc:
             raise CertificateError(f"node {m}: bad fraction {text!r}: {exc}") from None
-        if "base" in j:
+        if text != f"{p}/{q}":
+            raise CertificateError(f"node {m}: {text!r} is not written {p}/{q}")
+        res = j.get("resolution")  # a null resolution is not written either
+        if "base" in j and len(j) == 1:
             name = j["base"]
             if not isinstance(name, str):
                 raise CertificateError(f"node {m}: 'base' must be a JSON string")
             just: tuple = ("base", name)
-        elif "triple" in j:
-            pair, res = j["triple"], j.get("resolution")
+        elif "triple" in j and len(j) == 1 + (res is not None):
+            pair = j["triple"]
             if not (
                 type(pair) is list and len(pair) == 2
                 and type(pair[0]) is int and type(pair[1]) is int
@@ -530,7 +535,7 @@ def certificate_from_json(data: dict) -> Certificate:
                 raise CertificateError(f"node {m}: 'resolution' must be a node index")
             just = ("triple", pair[0], pair[1], res)
         else:
-            raise CertificateError(f"node {m}: 'just' needs a base or a triple")
+            raise CertificateError(f"node {m}: 'just' must be a lone base or a triple")
         ps.append(p)
         qs.append(q)
         tags.append(orient)

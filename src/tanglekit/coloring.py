@@ -4,7 +4,8 @@ Colors live on arcs: maximal strands running from one undercrossing to the
 next, i.e. PD edges glued together wherever they pass over a crossing. Each
 crossing imposes 2*(over arc) - (under-in arc) - (under-out arc) = 0; the
 system has one row per crossing and one column per arc, with coincident arcs
-collapsed by summing coefficients (a kink row collapses to 0). Rows are built
+collapsed by summing coefficients (a kink row collapses to 0);
+coloring_matrix renders it densely, as a tuple of row tuples. Rows are built
 sparse, as {arc: coefficient} dicts, once per diagram and kept on the diagram
 instance together with its determinant, so asking again, or asking
 n_colorable for several primes, eliminates nothing twice. n_colorable reads
@@ -26,31 +27,15 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from ._record import _Record
 from .diagram import LinkDiagram, PDError, _UnionFind, is_planar
 
 __all__ = [
-    "ColoringMatrix",
     "coloring_matrix",
     "determinant",
     "n_colorable",
     "bareiss_determinant",
     "rank_mod_p",
 ]
-
-
-class ColoringMatrix(_Record):
-    """Crossing-relation coefficients: rows index crossings, columns arcs."""
-
-    __slots__ = _fields = ("entries",)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
 
 def _fox_arcs(d: LinkDiagram) -> tuple[list[int], int]:
@@ -99,9 +84,10 @@ def _system(d: LinkDiagram) -> tuple[list[Row], int]:
     return system
 
 
-def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
-    """Coefficient matrix of the crossing relations: a dense rendering of the
-    diagram's coloring system.
+def coloring_matrix(d: LinkDiagram) -> tuple[tuple[int, ...], ...]:
+    """Coefficient matrix of the crossing relations, a dense rendering of the
+    diagram's coloring system: a tuple of rows, one per crossing, each a
+    tuple with one coefficient per arc.
 
     Square (k x k) whenever every component passes under somewhere; the extra
     columns of degenerate diagrams are kept so ranks stay meaningful.
@@ -111,9 +97,7 @@ def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
     if not d.crossings:
         raise PDError("coloring matrix needs at least one crossing")
     rows, arcs = _system(d)
-    return ColoringMatrix(
-        tuple(tuple(row.get(j, 0) for j in range(arcs)) for row in rows)
-    )
+    return tuple(tuple(row.get(j, 0) for j in range(arcs)) for row in rows)
 
 
 # Largest dimension that bareiss_determinant eliminates densely. Timed on

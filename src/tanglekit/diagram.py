@@ -268,16 +268,6 @@ class LinkDiagram(_Record):
                 units.append(walk(q))
         return units
 
-    def edge_directions(self) -> dict[int, tuple[int, int]]:
-        """Per-edge (tail, head) positions under the stored orientation."""
-        if self.orientation is None:
-            raise PDError("diagram is not oriented")
-        dirs: dict[int, tuple[int, int]] = {}
-        for flag, unit in zip(self.orientation, self._units):
-            for e, frm, to in unit:
-                dirs[e] = (frm, to) if flag == 1 else (to, frm)
-        return dirs
-
     def _heads(self) -> set[int]:
         """The head position of every edge under the stored orientation."""
         if self.orientation is None:

@@ -25,8 +25,6 @@ from .tangle import (
     AB_CD,
     AC_BD,
     AD_BC,
-    ANTIPARALLEL,
-    PARALLEL,
     CompiledTangle,
     TangleFraction,
     compile_word,
@@ -88,9 +86,6 @@ class TangleTemplate(_Record):
     @property
     def slot_count(self) -> int:
         return len(self.diagram.slots)
-
-    def oriented(self, flags: tuple[int, ...]) -> "TangleTemplate":
-        return TangleTemplate(self.diagram.with_orientation(flags), self.coeffs)
 
 
 def mediant(pair: FareyPair) -> TangleFraction:
@@ -352,20 +347,14 @@ def two_slot_scan(
 # -- stock templates -----------------------------------------------------------
 
 
-def figure8_template(tag: str | None = None) -> TangleTemplate:
+def figure8_template() -> TangleTemplate:
     """The minimal one-slot closure: both left endpoints joined by one arc,
     both right endpoints by the other, so 0/1 closes to the unknot and 1/0
     to a split pair of circles. Fitted model: determinant |q|, zero locus 1/0.
 
-    `tag` orients the two closure arcs: 'parallel' admits the odd/odd classes,
-    'antiparallel' the even/odd ones; denominator-even insertions work either
-    way.
+    The template is unoriented. Flags (1, 1) on its two closure arcs make it
+    parallel, admitting the odd/odd classes, and (1, -1) antiparallel,
+    admitting the even/odd ones; denominator-even insertions work either way:
+    `TangleTemplate(t.diagram.with_orientation(flags), t.coeffs)`.
     """
-    t = TangleTemplate(parse_pd("T[1,2,1,2]"), (1, 0))
-    if tag is None:
-        return t
-    if tag == PARALLEL:
-        return t.oriented((1, 1))
-    if tag == ANTIPARALLEL:
-        return t.oriented((1, -1))
-    raise ValueError(f"unknown orientation tag {tag!r}")
+    return TangleTemplate(parse_pd("T[1,2,1,2]"), (1, 0))

@@ -3,9 +3,10 @@ inserts tangles by fraction only: the twist word (a second statement of the
 compile recipe, with its own evaluator `word_fraction` and word compiler),
 strand tracing, aligned compilations of skein triples, insertion of compiled
 crossings straight into a slot, the pairwise two-slot scan, the
-component-merging skein step, and the class-table statements of the
+component-merging skein step, the class-table statements of the
 orientation rule that the library's one slot query and one tag table
-replaced."""
+replaced, and the figure-8 template oriented for a sector, which the library
+builds only from its unoriented template and a diagram's flags."""
 
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from tanglekit.skein import (
     ScanReport,
     TangleTemplate,
     TemplateError,
+    figure8_template,
     mediant,
     orientation_compatible,
     reduced_fractions,
@@ -155,6 +157,17 @@ def compatible_classes(tag: str) -> frozenset[str]:
     if tag == ANTIPARALLEL:
         return frozenset((AB_CD, AC_BD))
     raise ValueError(f"unknown orientation tag: {tag!r}")
+
+
+# the flags of the figure-8 template's two closure arcs in each sector
+FIGURE8_FLAGS = {PARALLEL: (1, 1), ANTIPARALLEL: (1, -1)}
+
+
+def oriented_figure8(tag: str) -> TangleTemplate:
+    """A fresh figure-8 template whose closure arcs run in the tag's sector:
+    parallel admits the odd/odd classes, antiparallel the even/odd ones."""
+    flags = FIGURE8_FLAGS[tag]
+    return TangleTemplate(figure8_template().diagram.with_orientation(flags), (1, 0))
 
 
 def trace_connectivity(t: CompiledTangle) -> str:

@@ -41,7 +41,11 @@ from tanglekit.skein import (
 from tanglekit.tangle import TangleFraction, connectivity
 
 from certify_oracle import _derive as dfs_derive
-from tangle_oracles import compatible_classes, component_reduction_step
+from tangle_oracles import (
+    compatible_classes,
+    component_reduction_step,
+    oriented_figure8,
+)
 
 F = TangleFraction.parse
 TREFOIL = parse_pd("X[1,2,3,4] X[2,5,6,3] X[4,6,5,1]")
@@ -78,7 +82,7 @@ class TestSpanCertificate:
             if f.q == 0:
                 continue
             c = span_certificate(f)
-            assert c.target == f
+            assert c.nodes[-1].frac == f
             v = verify_certificate(c)
             assert v.accepted, (f, str(v))
 
@@ -383,7 +387,7 @@ class TestVerifierBranches:
 
     @pytest.mark.parametrize("tag", [PARALLEL, ANTIPARALLEL])
     def test_oriented_ambient_is_refitted(self, tag):
-        ambient = figure8_template(tag)
+        ambient = oriented_figure8(tag)
         assert ambient.diagram.is_oriented
         cert = oriented_span_certificate(OrientedTarget(F("7/12"), tag), ambient)
         assert cert.ambient == ambient
@@ -512,7 +516,7 @@ class TestOrientedSpan:
             )
             for tag in tags:
                 c = oriented_span_certificate(OrientedTarget(f, tag))
-                assert c.target == f
+                assert c.nodes[-1].frac == f
                 v = verify_certificate(c)
                 assert v.accepted, (f, tag, str(v))
 
@@ -532,7 +536,7 @@ class TestOrientedSpan:
 
     def test_negative_targets_mirror(self):
         c = oriented_span_certificate(OrientedTarget(F("-3/4"), PARALLEL))
-        assert c.target == F("-3/4")
+        assert c.nodes[-1].frac == F("-3/4")
         assert verify_certificate(c).accepted
 
 
@@ -623,7 +627,7 @@ class TestComponentReduction:
         )
 
     def test_oriented_step_resolution_is_input(self):
-        t = figure8_template(PARALLEL)
+        t = oriented_figure8(PARALLEL)
         tri = component_reduction_step(t, 0, F("1/2"))
         assert tri.kind == ORIENTED
         assert tri.resolution == F("1/2")
@@ -764,6 +768,20 @@ class TestSerialization:
             {"frac": "2/5", "just": {"base": 1}},
             {"frac": "2/5", "just": {"base": "unknot"}, "orient": 1},
             ["2/5"],
+            # fractions that denote a value without being written p/q as the
+            # writer writes it
+            *(
+                {"frac": text, "just": {"base": "unknot"}}
+                for text in (
+                    " 1/1", "1/ 1", "01/1", "1/01", "+1/1", "-0/1", "2", "\u0661/\u0661",
+                    "1_0/1",
+                )
+            ),
+            # justifications that are neither a lone base nor a triple
+            {"frac": "1/1", "just": {"base": "unknot", "triple": [0, 1]}},
+            {"frac": "1/1", "just": {"base": "unknot", "resolution": 0}},
+            {"frac": "2/5", "just": {"triple": [0, 1], "resolution": None}},
+            {"frac": "2/5", "just": {"triple": [0, 1], "extra": 0}},
         ],
     )
     def test_malformed_node_raises_certificate_error(self, node):

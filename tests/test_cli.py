@@ -269,6 +269,17 @@ class TestCertifyVerify:
         assert code == 1 and out == "" and err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_a_node_fraction_with_a_leading_zero_is_domain_error(self, capsys, tmp_path):
+        # 02/5 denotes the written 2/5, but the reader takes only p/q as written
+        path = tmp_path / "c.json"
+        save_certificate(span_certificate(TangleFraction(2, 5)), str(path))
+        data = json.loads(path.read_text())
+        data["nodes"][-1]["frac"] = "02/5"
+        path.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "verify", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: node 4: '02/5' is not written 2/5\n"
+
 
 class TestCorpus:
     def test_list_contains_standard_names(self, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from tanglekit._record import _Record
 from tanglekit.certify import Certificate, CertNode, OrientedTarget, Verdict
-from tanglekit.coloring import ColoringMatrix
 from tanglekit.corpus import CorpusEntry
 from tanglekit.diagram import (
     _UnionFind,
@@ -466,8 +465,6 @@ NODE_REPR = (
 RECORDS = [
     (lambda: parse_pd(UNKNOT_KINK),
      "LinkDiagram(crossings=((1, 2, 2, 1),), slots=(), loops=0, orientation=None)"),
-    (lambda: ColoringMatrix(((1, -1), (-1, 1))),
-     "ColoringMatrix(entries=((1, -1), (-1, 1)))"),
     (lambda: F(-2, 5), "TangleFraction(p=-2, q=5)"),
     (lambda: ContinuedFraction((None, 2, 3)), "ContinuedFraction(terms=(None, 2, 3))"),
     (lambda: CompiledTangle(((1, 2, 4, 3),), 1, 3, 2, 4),

@@ -30,14 +30,13 @@ from tanglekit import (
     TangleFraction,
     TangleTemplate,
     bundled_templates,
-    figure8_template,
     load_corpus,
     oriented_span_certificate,
     parse_pd,
     span_certificate,
 )
 from tanglekit.certify import certificate_text
-from tangle_oracles import farey_neighbor
+from tangle_oracles import farey_neighbor, oriented_figure8
 
 CALLS = 10_000
 BOUND = 40
@@ -85,7 +84,7 @@ def _pools():
     rng = random.Random(2019)
     stock = bundled_templates()
     templates = list(stock.values())
-    templates += [figure8_template(PARALLEL), figure8_template(ANTIPARALLEL)]
+    templates += [oriented_figure8(PARALLEL), oriented_figure8(ANTIPARALLEL)]
     diagrams = [e.diagram() for e in load_corpus()[:12]]
     diagrams += [t.diagram for t in templates]
     diagrams.append(LinkDiagram((), (), 2))
@@ -199,7 +198,14 @@ def forged(rng, cert, templates):
 
 
 DIAGRAMS, TEMPLATES, PAIRS, CERTS = _pools()
-JSON_VALUES = (None, True, 0, -1, 2.5, "", "2/5", "x", [], [0, 1], {}, {"base": "hopf"})
+JSON_VALUES = (
+    None, True, 0, -1, 2.5, "", "2/5", "x", [], [0, 1], {}, {"base": "hopf"},
+    # values a node's fields could denote without being written as the writer
+    # writes them
+    " 1/1", "01/1", "+1/1", "-0/1", "2", "1_0/1", "\u0661/\u0661",
+    {"base": "unknot", "triple": [0, 1]}, {"base": "unknot", "resolution": 0},
+    {"triple": [0, 1], "resolution": None},
+)
 
 
 def json_forgery(rng):
@@ -220,6 +226,23 @@ def json_forgery(rng):
         elif isinstance(box, list) and box:
             box[rng.randrange(len(box))] = copy.deepcopy(rng.choice(JSON_VALUES))
     return data
+
+
+def test_the_reader_takes_only_the_writers_node_form():
+    """Whatever nodes the reader loads, the writer writes back as they were
+    read: a fraction or a justification in any other form is refused."""
+    rng = random.Random(29)
+    loaded = 0
+    for _ in range(3000):
+        data = json_forgery(rng)
+        try:
+            back = tanglekit.certificate_to_json(tanglekit.certificate_from_json(data))
+        except ValueError:
+            continue
+        loaded += 1
+        for m, (node, written) in enumerate(zip(data["nodes"], back["nodes"])):
+            assert (node["frac"], node["just"]) == (written["frac"], written["just"]), m
+    assert loaded > 100
 
 
 def file_text(rng):
@@ -317,7 +340,7 @@ CALLS_BY_NAME = {
     "crossing_change": (D, or_not_exact(small)),
     "determinant": (D,),
     "disjoint_union": (D, D),
-    "figure8_template": (lambda rng: rng.choice((None, *TAGS)),),
+    "figure8_template": (),
     "fill_slot": (
         D, SLOT, lambda rng: tuple(quad(rng) for _ in range(rng.randint(0, 2))), quad
     ),
@@ -347,8 +370,8 @@ CALLS_BY_NAME = {
 
 # exceptions and records that check nothing (fields are stored as given)
 UNCHECKED = {
-    "CertificateError", "PDError", "TemplateError", "CertNode", "ColoringMatrix",
-    "CompiledTangle", "CorpusEntry", "ScanReport", "Verdict",
+    "CertificateError", "PDError", "TemplateError", "CertNode", "CompiledTangle",
+    "CorpusEntry", "ScanReport", "Verdict",
 }
 
 

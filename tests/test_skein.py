@@ -43,7 +43,13 @@ from tanglekit.tangle import (
     connectivity,
     fraction_to_cf,
 )
-from tangle_oracles import aligned_words, brute_two_slot_scan, farey_neighbor, insert
+from tangle_oracles import (
+    aligned_words,
+    brute_two_slot_scan,
+    farey_neighbor,
+    insert,
+    oriented_figure8,
+)
 
 F = TangleFraction.parse
 NECKLACE2 = TangleTemplate(parse_pd("T[1,2,3,4] T[2,1,4,3]"))
@@ -203,21 +209,21 @@ class TestOneSlotModel:
 
 class TestOrientation:
     def test_compatible_classes_parallel(self):
-        assert admitted(figure8_template(PARALLEL)) == {AD_BC, AC_BD}
+        assert admitted(oriented_figure8(PARALLEL)) == {AD_BC, AC_BD}
 
     def test_compatible_classes_antiparallel(self):
-        assert admitted(figure8_template(ANTIPARALLEL)) == {AB_CD, AC_BD}
+        assert admitted(oriented_figure8(ANTIPARALLEL)) == {AB_CD, AC_BD}
 
     def test_even_denominator_compatible_both_ways(self):
         for tag in (PARALLEL, ANTIPARALLEL):
-            t = figure8_template(tag)
+            t = oriented_figure8(tag)
             assert orientation_compatible(t, 0, F("1/2"))
             assert orientation_compatible(t, 0, F("3/4"))
 
     def test_one_one_only_parallel(self):
-        assert orientation_compatible(figure8_template(PARALLEL), 0, F("1/1"))
+        assert orientation_compatible(oriented_figure8(PARALLEL), 0, F("1/1"))
         assert not orientation_compatible(
-            figure8_template(ANTIPARALLEL), 0, F("1/1")
+            oriented_figure8(ANTIPARALLEL), 0, F("1/1")
         )
 
     def test_requires_oriented_template(self):
@@ -225,7 +231,7 @@ class TestOrientation:
             orientation_compatible(figure8_template(), 0, F("1/1"))
 
     def test_oriented_splice_rejects_incompatible(self):
-        t = figure8_template(ANTIPARALLEL)
+        t = oriented_figure8(ANTIPARALLEL)
         with pytest.raises(TemplateError):
             splice(t, 0, F("1/1"))
         out = splice(t, 0, F("2/3"))
@@ -235,7 +241,7 @@ class TestOrientation:
     def test_splice_takes_only_fractions(self):
         f = F("2/3")
         for value in (fraction_to_cf(f), compile_word(fraction_to_cf(f))):
-            for t in (figure8_template(), figure8_template(ANTIPARALLEL)):
+            for t in (figure8_template(), oriented_figure8(ANTIPARALLEL)):
                 with pytest.raises(TypeError):
                     splice(t, 0, value)
 
@@ -248,23 +254,23 @@ class TestOrientedTriple:
         pair = FareyPair(F("0/1"), F("1/0"))
         assert mediant(pair) == F("1/1")
         assert partner(pair) == F("-1/1")
-        assert resolution(pair, figure8_template(PARALLEL)) == F("1/0")
+        assert resolution(pair, oriented_figure8(PARALLEL)) == F("1/0")
 
     def test_ladder_pair(self):
         pair = FareyPair(F("1/4"), F("0/1"))
         assert mediant(pair) == F("1/5")
         assert partner(pair) == F("1/3")
-        assert resolution(pair, figure8_template(PARALLEL)) == F("1/4")
+        assert resolution(pair, oriented_figure8(PARALLEL)) == F("1/4")
 
     def test_antiparallel_selection(self):
         pair = FareyPair(F("1/2"), F("1/3"))
         assert mediant(pair) == F("2/5")
         assert partner(pair) == F("0/1")
-        assert resolution(pair, figure8_template(ANTIPARALLEL)) == F("1/2")
+        assert resolution(pair, oriented_figure8(ANTIPARALLEL)) == F("1/2")
 
     def test_incompatible_mediant_rejected(self):
         pair = FareyPair(F("1/2"), F("0/1"))  # mediant 1/3, class AD|BC
-        t = figure8_template(ANTIPARALLEL)
+        t = oriented_figure8(ANTIPARALLEL)
         assert not orientation_compatible(t, 0, mediant(pair))
         with pytest.raises(TemplateError, match="not orientation compatible"):
             splice(t, 0, mediant(pair))
@@ -277,7 +283,7 @@ class TestSlotRange:
     @pytest.mark.parametrize("slot", [-1, -2, 1, 5])
     def test_slot_out_of_range_is_template_error(self, slot):
         for tag in (PARALLEL, ANTIPARALLEL):
-            t = figure8_template(tag)
+            t = oriented_figure8(tag)
             for query in (
                 lambda: orientation_compatible(t, slot, F("1/0")),
                 lambda: splice(t, slot, F("1/0")),
@@ -288,18 +294,19 @@ class TestSlotRange:
     @pytest.mark.parametrize("slot", [True, False, 0.0, 1.0])
     def test_slot_must_be_an_exact_int(self, slot):
         # True and 1.0 equal 1, so a range test passed them as slot 1
-        for t in (NECKLACE2, NECKLACE2.oriented((1, -1, 1, -1))):
+        oriented = TangleTemplate(NECKLACE2.diagram.with_orientation((1, -1, 1, -1)))
+        for t in (NECKLACE2, oriented):
             with pytest.raises(TemplateError, match="slot must be an int"):
                 splice(t, slot, F("1/2"))
         with pytest.raises(TemplateError, match="slot must be an int"):
-            orientation_compatible(NECKLACE2.oriented((1, -1, 1, -1)), slot, F("1/2"))
+            orientation_compatible(oriented, slot, F("1/2"))
 
     def test_second_slot_of_an_oriented_two_slot_template(self):
-        t = NECKLACE2.oriented((1, -1, 1, -1))
+        t = TangleTemplate(NECKLACE2.diagram.with_orientation((1, -1, 1, -1)))
         # strands run in at endpoints 1 and 3 and out at 0 and 2
         assert t.diagram.incoming_positions(1) == {1, 3}
         assert admitted(t, 1) == {AB_CD, AD_BC}
-        every_in = NECKLACE2.oriented((1, 1, 1, 1)).diagram
+        every_in = NECKLACE2.diagram.with_orientation((1, 1, 1, 1))
         assert every_in.incoming_positions(1) == {0, 1, 2, 3}
         with pytest.raises(TemplateError, match="out of range"):
             orientation_compatible(t, 2, F("1/0"))
@@ -419,7 +426,7 @@ class TestTwoSlotScan:
             assert all(r[1:] == (1, (F("1/0"),)) for r in report.records[1:])
 
     def test_rejects_oriented_template(self):
-        t = NECKLACE2.oriented((1, 1, 1, 1))
+        t = TangleTemplate(NECKLACE2.diagram.with_orientation((1, 1, 1, 1)))
         for bound in (0, 2):
             with pytest.raises(TemplateError):
                 two_slot_scan(t, 0, 1, bound)

@@ -13,6 +13,7 @@ from functools import cached_property
 from itertools import product
 
 import pytest
+from tangle_oracles import oriented_figure8
 from test_skein import random_planar_two_slot
 
 from tanglekit.corpus import bundled_templates, load_corpus
@@ -177,7 +178,7 @@ class TestOutputsAgreeWithTheConstructor:
 
     def test_surgery_does_not_run_the_constructor(self, monkeypatch):
         d = TEMPLATES["trefoil_sum"].diagram
-        od = figure8_template("parallel").diagram
+        od = oriented_figure8("parallel").diagram
         f, g = compiled(TangleFraction(2, 5)), compiled(TangleFraction(3, 8))
         runs = []
         init = LinkDiagram.__init__
@@ -219,7 +220,7 @@ class TestOutputCheck:
 
 class TestIncompatibleFill:
     def test_parallel_figure8_with_two_over_one(self):
-        t = figure8_template("parallel")
+        t = oriented_figure8("parallel")
         with pytest.raises(PDError):
             fill_slot(t.diagram, 0, *compiled(TangleFraction(2, 1)))
 
@@ -259,18 +260,18 @@ class TestTraceCount:
     def test_oriented_splice_and_resolve(self, traces, tag):
         spliced = 0
         for f in (TangleFraction(3, 8), TangleFraction(5, 8), TangleFraction(2, 5)):
-            t = figure8_template(tag)  # a fresh template: its own trace counts
+            t = oriented_figure8(tag)  # a fresh template: its own trace counts
             if not orientation_compatible(t, 0, f):
                 continue
             spliced += 1
             traces[0] = 0
             out = splice(t, 0, f)
-            edge_directions, n = out.edge_directions(), components(out)
-            assert edge_directions and n >= 1
+            heads, n = out._heads(), components(out)
+            assert heads and n >= 1
             assert traces[0] == 1
             traces[0] = 0
             r = oriented_resolve(out, 0)
-            r.edge_directions()
+            r._heads()
             components(r)
             assert traces[0] == 1
         assert spliced >= 2
@@ -282,7 +283,7 @@ class TestTraceCount:
         flags = (1,) * components(d)
         od = d.with_orientation(flags)
         assert od.with_orientation(None).with_orientation(flags) == od
-        assert od.edge_directions() and components(od) == len(flags)
+        assert od._heads() and components(od) == len(flags)
         assert traces[0] == 1
 
     def test_unoriented_diagram_traces_once(self, traces):
@@ -311,7 +312,7 @@ class TestDirectionReads:
 
     @pytest.mark.parametrize("tag", ["parallel", "antiparallel"])
     def test_each_oriented_surgery_reads_heads_once(self, reads, tag):
-        t, f = figure8_template(tag), TangleFraction(3, 8)
+        t, f = oriented_figure8(tag), TangleFraction(3, 8)
         reads[0] = 0
         out = splice(t, 0, f)
         assert reads[0] == 2  # the slot's compatibility test, then fill_slot
@@ -324,6 +325,10 @@ class TestDirectionReads:
             reads[0] = 0
             assert step().is_oriented
             assert reads[0] == 1
+
+    def test_an_unoriented_diagram_has_no_heads(self):
+        with pytest.raises(PDError, match="diagram is not oriented"):
+            figure8_template().diagram._heads()
 
     def test_unoriented_surgery_reads_no_heads(self, reads):
         out = splice(figure8_template(), 0, TangleFraction(3, 8))

@@ -103,11 +103,11 @@ def sympy_det(d: LinkDiagram) -> int:
         return 1 if d.loops == 1 else 0
     if d.loops:
         return 0
-    cm = coloring_matrix(d)
-    if cm.cols != cm.rows:
+    rows = coloring_matrix(d)
+    k = len(rows)
+    if len(rows[0]) != k:
         return 0
-    m = sympy.Matrix([list(r) for r in cm.entries])
-    return abs(m.minor_submatrix(cm.rows - 1, cm.cols - 1).det())
+    return abs(sympy.Matrix(rows).minor_submatrix(k - 1, k - 1).det())
 
 
 def crossings_of(f: TangleFraction) -> int:
