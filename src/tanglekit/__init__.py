@@ -23,7 +23,6 @@ _SUBMODULE_NAMES = {
     "certify": (
         "Certificate",
         "CertificateError",
-        "CertNode",
         "OrientedTarget",
         "Verdict",
         "certificate_from_json",

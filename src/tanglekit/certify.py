@@ -39,7 +39,7 @@ from .skein import determinant  # noqa: F401
 from .tangle import ANTIPARALLEL, PARALLEL, TangleFraction
 
 __all__ = [
-    "Certificate", "CertNode", "OrientedTarget", "Verdict", "CertificateError",
+    "Certificate", "OrientedTarget", "Verdict", "CertificateError",
     "span_certificate", "oriented_span_certificate", "verify_certificate",
     "certificate_to_json", "certificate_from_json",
     "certificate_text", "save_certificate", "load_certificate", "UNORIENTED",
@@ -68,11 +68,6 @@ class CertificateError(ValueError):
 MAX_CERTIFICATE_STEPS = 200_000
 
 
-class CertNode(_Record):
-    # just: ("base", name) | ("triple", i, j, resolution_index_or_None)
-    __slots__ = _fields = ("frac", "orient", "just")
-
-
 class OrientedTarget(_Record):
     __slots__ = _fields = ("fraction", "orientation")
 
@@ -86,36 +81,22 @@ class OrientedTarget(_Record):
 
 
 class Certificate(_Record):
-    """Nodes are kept as parallel columns: numerators `ps`, denominators `qs`,
-    orientation `tags` and justification tuples `justs`. The `nodes` view
-    builds their CertNode records on each access; equality, hash, repr and
-    pickling go through it. A generated certificate ends at its target,
-    `TangleFraction(cert.ps[-1], cert.qs[-1])`."""
+    """A certificate is its columns, one entry per node: numerators `ps`,
+    denominators `qs`, orientation `tags` and justification tuples `justs`.
+    Node m is the fraction `ps[m]/qs[m]` with tag `tags[m]` and justification
+    `justs[m]`: ("base", name) or ("triple", i, j, resolution_or_None). A
+    generated certificate ends at its target,
+    `TangleFraction(cert.ps[-1], cert.qs[-1])`. The constructor keeps each
+    column as a tuple and refuses columns of unequal length, which the writer
+    would otherwise zip down to the shortest."""
 
-    __slots__ = ("kind", "ambient", "ps", "qs", "tags", "justs")
-    _fields = ("kind", "nodes", "ambient")
+    __slots__ = _fields = ("kind", "ambient", "ps", "qs", "tags", "justs")
 
-    def __init__(self, kind: str, nodes, ambient: TangleTemplate) -> None:
-        nodes = tuple(nodes)
-        self._set(
-            kind, ambient, [n.frac.p for n in nodes], [n.frac.q for n in nodes],
-            [n.orient for n in nodes], [n.just for n in nodes],
-        )
-
-    @classmethod
-    def _columns(cls, kind, ambient, ps, qs, tags, justs) -> Certificate:
-        cert = object.__new__(cls)
-        cert._set(kind, ambient, ps, qs, tags, justs)
-        return cert
-
-    def _set(self, kind, ambient, *columns) -> None:
-        for name, value in zip(self.__slots__, (kind, ambient, *map(tuple, columns))):
-            object.__setattr__(self, name, value)
-
-    @property
-    def nodes(self) -> tuple[CertNode, ...]:
-        fracs = map(TangleFraction, self.ps, self.qs)
-        return tuple(map(CertNode, fracs, self.tags, self.justs))
+    def __init__(self, kind: str, ambient: TangleTemplate, ps, qs, tags, justs) -> None:
+        columns = tuple(ps), tuple(qs), tuple(tags), tuple(justs)
+        if len(set(map(len, columns))) > 1:
+            raise CertificateError(f"columns of unequal length {[*map(len, columns)]}")
+        _Record.__init__(self, kind, ambient, *columns)
 
     def __len__(self) -> int:
         return len(self.ps)
@@ -230,7 +211,7 @@ def _derive(
                 last, hi = hi, node
             else:
                 last, lo = lo, node
-    return Certificate._columns(
+    return Certificate(
         ORIENTED if tag else UNORIENTED, ambient, ps, qs, (tag,) * len(ps), justs
     )
 
@@ -540,7 +521,7 @@ def certificate_from_json(data: dict) -> Certificate:
         qs.append(q)
         tags.append(orient)
         justs.append(just)
-    return Certificate._columns(kind, ambient, ps, qs, tags, justs)
+    return Certificate(kind, ambient, ps, qs, tags, justs)
 
 
 def _field(obj: dict, key: str, typ: type, where: str):

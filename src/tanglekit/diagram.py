@@ -14,9 +14,9 @@ tuple and its rotation by two positions name the same unoriented crossing (the
 under-strand read from the other end), and the lexicographically smaller is
 stored. One helper, `_label_rule`, does the renumbering and the rotation. The
 `LinkDiagram` constructor checks caller input before calling it, so
-`LinkDiagram(...)` accepts exactly what `parse_pd` accepts; surgery, whose
-output is valid by construction, calls it on its own result and then checks
-in one pass (`_check_twice`) that the labels are 1..n, each twice.
+`LinkDiagram(...)` accepts exactly what `parse_pd` accepts. Surgery calls it
+on its own result, which is valid by construction: its inputs are a checked
+diagram and, for `fill_slot`, a tangle checked by the same rule.
 
 Position 4v + i is entry i of tuple v, crossings first and slots after them,
 so `q >> 2` is its tuple and `q ^ 2` the entry across a crossing. A diagram's
@@ -33,6 +33,7 @@ are derived as (tail, head) positions. Crossing-free loops carry no flag.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Callable, Collection, Iterable
 from functools import cached_property
 from itertools import chain, combinations
@@ -61,12 +62,38 @@ class PDError(ValueError):
     """Malformed PD text or invalid diagram data."""
 
 
-def _site_index(i: int) -> int:
-    """A crossing index, which must be an exact int: a float or bool would
-    name a crossing it only rounds to."""
-    if type(i) is not int:
-        raise PDError(f"crossing site must be an int, not {type(i).__name__}")
-    return i
+def _exact_int(value: int, name: str) -> int:
+    """An index or edge label, which must be an exact int: a float or bool
+    would name the one it only rounds to."""
+    if type(value) is not int:
+        raise PDError(f"{name} must be an int, not {type(value).__name__}")
+    return value
+
+
+def _checked_labels(tuples: list[tuple], slots: list[tuple] = ()) -> list[int]:
+    """The labels of `tuples` in order; PDError, naming what is wrong, unless
+    every tuple has four entries and every label is an exact positive int
+    that occurs exactly twice. The exact type of every entry is read, not of
+    the distinct labels: a bool is an int and True == 1, so it would pair up
+    with, or hide behind, an equal int label. A miscounted label in `slots`
+    is reported as a slot endpoint reused."""
+    if set(map(len, tuples)) - {4}:
+        short = [t for t in tuples if len(t) != 4]
+        raise PDError(f"tuples must have four entries, not {short}")
+    flat = list(chain.from_iterable(tuples))
+    s = sorted(flat) if set(map(type, flat)) <= {int} else None
+    if s is None or s and s[0] < 1:
+        bad = [e for e in flat if type(e) is not int or e < 1]
+        raise PDError(f"edge labels must be positive integers, not {bad}")
+    # read in sorted order, each label twice is each pair equal and no two
+    # pairs equal
+    pairs = s[::2]
+    if pairs != s[1::2] or len(set(pairs)) != len(pairs):
+        wrong = sorted(e for e, c in Counter(flat).items() if c != 2)
+        if any(e in t for t in slots for e in wrong):
+            raise PDError(f"slot endpoint reuse: labels {wrong} occur != 2 times")
+        raise PDError(f"edge labels must occur exactly twice: {wrong}")
+    return flat
 
 
 def _label_rule(
@@ -86,7 +113,9 @@ def _label_rule(
         flat = list(map(number.__getitem__, flat))
     tuples = _quads(flat)
     # the smaller of (a, b, c, d) and (c, d, a, b)
-    crossings = tuple([t if t[:2] <= t[2:] else t[2:] + t[:2] for t in tuples[:k]])
+    crossings = tuple([
+        (a, b, c, d) if (a, b) <= (c, d) else (c, d, a, b) for a, b, c, d in tuples[:k]
+    ])
     return flat, tuples, crossings
 
 
@@ -94,14 +123,6 @@ def _quads(flat: list[int]) -> list[Quad]:
     """Consecutive groups of four labels, as tuples."""
     q = iter(flat)
     return list(zip(q, q, q, q))
-
-
-def _check_twice(flat: list[int]) -> None:
-    """Raise PDError unless the labels are 1..n, each exactly twice: read in
-    sorted order, both members of every pair equal their pair's number."""
-    s = sorted(flat)
-    if not s[::2] == s[1::2] == list(range(1, len(s) // 2 + 1)):
-        raise PDError(f"surgery broke the label rule: labels {s}")
 
 
 class _UnionFind:
@@ -175,25 +196,9 @@ class LinkDiagram(_Record):
             raise PDError("negative loop count")
         if not crossings and not slots and loops == 0:
             raise PDError("empty diagram")
-        counts: dict[int, int] = {}  # in order of first appearance
-        for t in crossings + slots:
-            if len(t) != 4:
-                raise PDError("tuples must have four entries")
-            for e in t:
-                counts[e] = counts.get(e, 0) + 1
-        flat = list(chain.from_iterable(crossings + slots))
-        # the exact type of every entry, not of the distinct labels: a bool
-        # is an int and True == 1, so it would pair up with, or hide behind,
-        # an equal int label
-        if not set(map(type, flat)) <= {int} or min(counts, default=1) < 1:
-            raise PDError("edge labels must be positive integers")
-        wrong = sorted(e for e, c in counts.items() if c != 2)
-        if wrong:
-            if any(e in t for t in slots for e in wrong):
-                raise PDError(f"slot endpoint reuse: labels {wrong} occur != 2 times")
-            raise PDError(f"edge labels must occur exactly twice: {wrong}")
+        flat = _checked_labels(crossings + slots, slots)
         k = len(crossings)
-        _, tuples, crossings = _label_rule(flat, counts, k)
+        _, tuples, crossings = _label_rule(flat, dict.fromkeys(flat), k)
         _Record.__init__(self, crossings, tuple(tuples[k:]), loops, orientation)
         if orientation is not None:
             self._check_orientation()
@@ -441,7 +446,9 @@ def _surgery(
     One map takes each label to its final one: to the root of its joins'
     union-find, then through the label rule (`_label_rule`, shared with the
     constructor, which also rotates the crossings). The result does not go
-    through the constructor; `_check_twice` checks its labels in one pass.
+    through the constructor and is not checked again: with every label of the
+    input twice, each joined label class is a path with two free ends, which
+    keeps one label, or a closed loop, which leaves none.
 
     For an oriented `d`, `heads` are its edge heads (`d._heads()`, which the
     caller has read) and `where(q)` places each old position in the new
@@ -459,7 +466,6 @@ def _surgery(
     if alias:
         flat = list(map(alias.get, flat, flat))
     flat, tuples, crossings = _label_rule(flat, dict.fromkeys(flat), k)
-    _check_twice(flat)
     new = object.__new__(LinkDiagram)
     vars(new).update(
         crossings=crossings, slots=tuple(tuples[k:]),
@@ -495,7 +501,7 @@ def resolve(d: LinkDiagram, site: int, which: int) -> LinkDiagram:
     """Smooth one crossing the chosen way (0 or 1); the input diagram, and its
     two smoothings at a site, form an unoriented skein triple by construction.
     """
-    i = _site_index(site)
+    i = _exact_int(site, "crossing site")
     if not 0 <= i < len(d.crossings):
         raise PDError(f"crossing index {i} out of range")
     if type(which) is not int or which not in (0, 1):  # True and 1.0 equal 1
@@ -511,7 +517,7 @@ def crossing_change(d: LinkDiagram, site: int) -> LinkDiagram:
     Strand directions are physical data, so an oriented diagram keeps every
     edge's direction even when canonicalization rotates the flipped tuple.
     """
-    i = _site_index(site)
+    i = _exact_int(site, "crossing site")
     if not 0 <= i < len(d.crossings):
         raise PDError(f"crossing index {i} out of range")
     a, b, c, e = d.crossings[i]
@@ -528,7 +534,7 @@ def crossing_change(d: LinkDiagram, site: int) -> LinkDiagram:
 def oriented_resolve(d: LinkDiagram, site: int) -> LinkDiagram:
     """The unique smoothing consistent with strand directions at the site;
     orientation carries to the result."""
-    i = _site_index(site)
+    i = _exact_int(site, "crossing site")
     if not d.is_oriented:
         raise PDError("diagram is not oriented")
     if not 0 <= i < len(d.crossings):
@@ -574,9 +580,9 @@ def connected_sum(
         if d1.loops != 1:
             raise PDError("connected sum with a bare unlink is ambiguous")
         return d2.with_orientation(None)
-    if a1 < 1 or a1 > d1.arc_count:
+    if not 1 <= _exact_int(a1, "edge a1") <= d1.arc_count:
         raise PDError(f"edge {a1} not in first diagram")
-    if a2 < 1 or a2 > d2.arc_count:
+    if not 1 <= _exact_int(a2, "edge a2") <= d2.arc_count:
         raise PDError(f"edge {a2} not in second diagram")
     shift = d1.arc_count
     labels1, first1, mate1 = d1._index
@@ -602,14 +608,17 @@ def fill_slot(
     """Replace one slot with compiled tangle crossings.
 
     `stubs` are the tangle's (nw, ne, sw, se) boundary edges in its own label
-    space; they are glued to the slot's (a, b, c, d). Orientation, when
+    space; they are glued to the slot's (a, b, c, d). The tangle is checked
+    before any work, as the constructor checks a diagram: four entries per
+    crossing, four stubs, and every label an exact positive int that occurs
+    exactly twice across the crossings and the stubs. Orientation, when
     present, carries to the result; a tangle whose strands join two entering
     or two leaving slot endpoints raises PDError.
     """
-    if type(slot_index) is not int:  # True and 1.0 would name slot 1
-        raise PDError(f"slot index must be an int, not {type(slot_index).__name__}")
-    if not 0 <= slot_index < len(d.slots):
+    if not 0 <= _exact_int(slot_index, "slot index") < len(d.slots):
         raise PDError(f"slot index {slot_index} out of range")
+    crossings, stubs = tuple(crossings), tuple(stubs)
+    _checked_labels([*crossings, stubs])
     shift = d.arc_count
     add = [(a + shift, b + shift, c + shift, e + shift) for a, b, c, e in crossings]
     glue = [s + shift for s in stubs]

@@ -1,9 +1,15 @@
 """The depth-first certificate generator that the Stern-Brocot walk in
 `tanglekit.certify` replaced, kept as the reference that the walk's output is
 compared with node for node: a budgeted search with a stack and a memo, which
-derives each node's Farey parents from a modular inverse."""
+derives each node's Farey parents from a modular inverse.
+
+Also the node view that tests write forgeries in: `Node` is one node as a
+(frac, orient, just) triple, `nodes(cert)` reads a certificate's columns as
+nodes, and `from_nodes` builds a certificate from a node list."""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from tanglekit.certify import (
     ANTIPARALLEL,
@@ -14,12 +20,32 @@ from tanglekit.certify import (
     PARALLEL,
     UNORIENTED,
     _SECTOR_PARITIES,
-    CertNode,
     Certificate,
     CertificateError,
 )
 from tanglekit.skein import TangleTemplate, figure8_template, insertion_det
 from tanglekit.tangle import TangleFraction
+
+
+class Node(NamedTuple):
+    frac: TangleFraction
+    orient: str | None
+    just: tuple
+
+
+def nodes(cert: Certificate) -> list[Node]:
+    """The certificate's columns read node by node."""
+    fracs = map(TangleFraction, cert.ps, cert.qs)
+    return list(map(Node, fracs, cert.tags, cert.justs))
+
+
+def from_nodes(kind: str, node_list, ambient: TangleTemplate) -> Certificate:
+    """A certificate from a list of (frac, orient, just) nodes."""
+    node_list = list(node_list)
+    return Certificate(
+        kind, ambient, [n[0].p for n in node_list], [n[0].q for n in node_list],
+        [n[1] for n in node_list], [n[2] for n in node_list],
+    )
 
 
 def _derive(
@@ -48,9 +74,10 @@ def _derive(
         other = ANTIPARALLEL if tag == PARALLEL else PARALLEL
         raise CertificateError(f"{target} admits only the {other} orientation")
     a, b = ambient.coeffs
-    nodes: list[CertNode] = []
-    # the recursion runs on reduced (p, q) pairs; a fraction is built only
-    # for an emitted node
+    ps: list[int] = []
+    qs: list[int] = []
+    justs: list[tuple] = []
+    # the recursion runs on reduced (p, q) pairs
     memo: dict[tuple[int, int], int] = {}
     stack = [(target.p, target.q)]
     steps = 0
@@ -88,10 +115,13 @@ def _derive(
                     stack.append(p1)
                 continue
             just = ("triple", i1, i2, i2 if compat else None)
-        memo[f] = len(nodes)
-        nodes.append(CertNode(TangleFraction(j, k), tag, just))
+        memo[f] = len(ps)
+        ps.append(j)
+        qs.append(k)
+        justs.append(just)
         stack.pop()
-    return Certificate(ORIENTED if tag else UNORIENTED, tuple(nodes), ambient)
+    kind = ORIENTED if tag else UNORIENTED
+    return Certificate(kind, ambient, ps, qs, (tag,) * len(ps), justs)
 
 
 def _partner_and_resolution(

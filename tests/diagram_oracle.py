@@ -28,10 +28,19 @@ from tanglekit._record import _Record
 from tanglekit.diagram import (
     LinkDiagram,
     PDError,
-    _check_twice,
     _label_rule,
     _UnionFind,
 )
+
+
+def _check_twice(flat: list[int]) -> None:
+    """Raise PDError unless the labels are 1..n, each exactly twice: read in
+    sorted order, both members of every pair equal their pair's number. The
+    library's `_surgery` ran this on its output before it checked
+    `fill_slot`'s tangle up front."""
+    s = sorted(flat)
+    if not s[::2] == s[1::2] == list(range(1, len(s) // 2 + 1)):
+        raise PDError(f"surgery broke the label rule: labels {s}")
 
 
 def _canon(t: tuple[int, int, int, int]) -> tuple[int, int, int, int]:

@@ -10,7 +10,6 @@ from math import gcd
 import sympy
 
 from tanglekit.certify import (
-    CertNode,
     Certificate,
     OrientedTarget,
     UNORIENTED,
@@ -164,7 +163,7 @@ def test_criterion_8_unoriented_span():
         if f.q == 0:
             continue
         cert = span_certificate(f)
-        assert cert.nodes[-1].frac == f
+        assert TangleFraction(cert.ps[-1], cert.qs[-1]) == f
         v = verify_certificate(cert)
         assert v.accepted, (f, str(v))
         count += 1
@@ -173,25 +172,14 @@ def test_criterion_8_unoriented_span():
         assert verify_certificate(span_certificate(f)).accepted
 
     sample = span_certificate(TangleFraction(2, 5))
+    justs = (("base", "unknot"), ("base", "unknot"), ("triple", 0, 1, None))
     mutated_parent = Certificate(
-        UNORIENTED,
-        (
-            CertNode(TangleFraction(1, 1), None, ("base", "unknot")),
-            CertNode(TangleFraction(3, 1), None, ("base", "unknot")),
-            CertNode(TangleFraction(2, 5), None, ("triple", 0, 1, None)),
-        ),
-        sample.ambient,
+        UNORIENTED, sample.ambient, (1, 3, 2), (1, 1, 5), (None,) * 3, justs
     )
     v = verify_certificate(mutated_parent)
     assert not v.accepted and v.check == 2
     mutated_base = Certificate(
-        UNORIENTED,
-        (
-            CertNode(TangleFraction(1, 2), None, ("base", "unknot")),
-            CertNode(TangleFraction(1, 3), None, ("base", "unknot")),
-            CertNode(TangleFraction(2, 5), None, ("triple", 0, 1, None)),
-        ),
-        sample.ambient,
+        UNORIENTED, sample.ambient, (1, 1, 2), (2, 3, 5), (None,) * 3, justs
     )
     v = verify_certificate(mutated_base)
     assert not v.accepted and v.check == 5
@@ -213,9 +201,9 @@ def test_criterion_9_oriented_span_and_corrected_recursion():
             cert = oriented_span_certificate(OrientedTarget(f, tag))
             v = verify_certificate(cert)
             assert v.accepted, (f, tag, str(v))
-            for node in cert.nodes:
-                if node.just[0] == "base":
-                    assert node.frac.q in (1, 2), (f, node)
+            for q, just in zip(cert.qs, cert.justs):
+                if just[0] == "base":
+                    assert q in (1, 2), (f, q, just)
             count += 1
     big = OrientedTarget(TangleFraction(601, 30), ANTIPARALLEL)
     assert verify_certificate(oriented_span_certificate(big)).accepted

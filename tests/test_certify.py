@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import pickle
 import random
 import time
 from math import gcd
@@ -14,7 +15,6 @@ from tanglekit.certify import (
     ORIENTED,
     PARALLEL,
     UNORIENTED,
-    CertNode,
     Certificate,
     CertificateError,
     OrientedTarget,
@@ -40,7 +40,7 @@ from tanglekit.skein import (
 )
 from tanglekit.tangle import TangleFraction, connectivity
 
-from certify_oracle import _derive as dfs_derive
+from certify_oracle import Node, _derive as dfs_derive, from_nodes, nodes as nodes_of
 from tangle_oracles import (
     compatible_classes,
     component_reduction_step,
@@ -53,14 +53,19 @@ TEMPLATES = bundled_templates()
 
 
 def node_fracs(cert):
-    return [n.frac for n in cert.nodes]
+    return list(map(TangleFraction, cert.ps, cert.qs))
+
+
+def on_ambient(cert, ambient):
+    """The certificate's nodes over another ambient."""
+    return Certificate(cert.kind, ambient, cert.ps, cert.qs, cert.tags, cert.justs)
 
 
 class TestSpanCertificate:
     def test_base_case(self):
         c = span_certificate(F("0/1"))
         assert len(c) == 1
-        assert c.nodes[0].just == ("base", "unknot")
+        assert nodes_of(c)[0].just == ("base", "unknot")
 
     def test_integer_targets_are_bases(self):
         for n in range(-10, 11):
@@ -69,9 +74,9 @@ class TestSpanCertificate:
 
     def test_two_fifths_parents(self):
         c = span_certificate(F("2/5"))
-        tri = c.nodes[-1]
+        tri = nodes_of(c)[-1]
         i, j = tri.just[1], tri.just[2]
-        assert {c.nodes[i].frac, c.nodes[j].frac} == {F("1/2"), F("1/3")}
+        assert {nodes_of(c)[i].frac, nodes_of(c)[j].frac} == {F("1/2"), F("1/3")}
 
     def test_zero_locus_target_rejected(self):
         with pytest.raises(CertificateError):
@@ -82,7 +87,7 @@ class TestSpanCertificate:
             if f.q == 0:
                 continue
             c = span_certificate(f)
-            assert c.nodes[-1].frac == f
+            assert nodes_of(c)[-1].frac == f
             v = verify_certificate(c)
             assert v.accepted, (f, str(v))
 
@@ -90,7 +95,7 @@ class TestSpanCertificate:
         for f in reduced_fractions(15):
             if f.q == 0:
                 continue
-            for n in span_certificate(f).nodes:
+            for n in nodes_of(span_certificate(f)):
                 if n.just[0] == "base":
                     assert n.frac.q == 1
 
@@ -152,17 +157,17 @@ class TestForgeries:
     def test_non_farey_parents_rejected_check2(self):
         c = span_certificate(F("2/5"))
         # replace the final triple's parents with non-neighbors
-        nodes = list(c.nodes)
-        bad = CertNode(F("2/5"), None, ("triple", 0, 1, None))
+        nodes = nodes_of(c)
+        bad = Node(F("2/5"), None, ("triple", 0, 1, None))
         fracs = [n.frac for n in nodes]
         i0 = fracs.index(F("1/2"))
         # rebuild a tiny certificate with wrong parents: 1/2 and 2/5's own
-        forged = Certificate(
+        forged = from_nodes(
             UNORIENTED,
             (
-                CertNode(F("1/1"), None, ("base", "unknot")),
-                CertNode(F("3/1"), None, ("base", "unknot")),
-                CertNode(F("2/5"), None, ("triple", 0, 1, None)),
+                Node(F("1/1"), None, ("base", "unknot")),
+                Node(F("3/1"), None, ("base", "unknot")),
+                Node(F("2/5"), None, ("triple", 0, 1, None)),
             ),
             c.ambient,
         )
@@ -170,12 +175,12 @@ class TestForgeries:
         assert not v.accepted and v.check == 2
 
     def test_mutated_base_set_rejected_check5(self):
-        forged = Certificate(
+        forged = from_nodes(
             UNORIENTED,
             (
-                CertNode(F("1/2"), None, ("base", "unknot")),
-                CertNode(F("1/3"), None, ("base", "unknot")),
-                CertNode(F("2/5"), None, ("triple", 0, 1, None)),
+                Node(F("1/2"), None, ("base", "unknot")),
+                Node(F("1/3"), None, ("base", "unknot")),
+                Node(F("2/5"), None, ("triple", 0, 1, None)),
             ),
             figure8_template(),
         )
@@ -184,12 +189,12 @@ class TestForgeries:
 
     def test_zero_locus_intermediate_rejected_check3(self):
         # route through the default ambient's zero locus 1/0
-        forged = Certificate(
+        forged = from_nodes(
             UNORIENTED,
             (
-                CertNode(F("1/0"), None, ("base", "unknot")),
-                CertNode(F("0/1"), None, ("base", "unknot")),
-                CertNode(F("1/1"), None, ("triple", 0, 1, None)),
+                Node(F("1/0"), None, ("base", "unknot")),
+                Node(F("0/1"), None, ("base", "unknot")),
+                Node(F("1/1"), None, ("triple", 0, 1, None)),
             ),
             figure8_template(),
         )
@@ -200,9 +205,9 @@ class TestForgeries:
         # the recorded coefficients cannot be refitted from the bare closure
         # diagram, whose true model is det |q|
         ambient = TangleTemplate(parse_pd("T[1,2,1,2]"), (3, 2))
-        forged = Certificate(
+        forged = from_nodes(
             UNORIENTED,
-            (CertNode(F("0/1"), None, ("base", "unknot")),),
+            (Node(F("0/1"), None, ("base", "unknot")),),
             ambient,
         )
         v = verify_certificate(forged)
@@ -223,7 +228,7 @@ class TestForgeries:
         c = span_certificate(F("2/5"), ambient=twist)
         assert verify_certificate(c).accepted
         tampered = TangleTemplate(twist.diagram, (-1, 2))
-        v = verify_certificate(Certificate(c.kind, c.nodes, tampered))
+        v = verify_certificate(on_ambient(c, tampered))
         assert not v.accepted and v.check == 0
         data = certificate_to_json(c)
         data["ambient"]["coeffs"] = [1, -1]
@@ -247,16 +252,16 @@ class TestForgeries:
         # twist template's zero locus
         c = span_certificate(F("-1/1"))
         assert verify_certificate(c).accepted
-        v = verify_certificate(Certificate(c.kind, c.nodes, bundled_templates()["twist"]))
+        v = verify_certificate(on_ambient(c, bundled_templates()["twist"]))
         assert not v.accepted and v.check == 3
 
     def test_dag_violation_rejected_check1(self):
-        forged = Certificate(
+        forged = from_nodes(
             UNORIENTED,
             (
-                CertNode(F("1/1"), None, ("base", "unknot")),
-                CertNode(F("1/2"), None, ("triple", 0, 2, None)),
-                CertNode(F("0/1"), None, ("base", "unknot")),
+                Node(F("1/1"), None, ("base", "unknot")),
+                Node(F("1/2"), None, ("triple", 0, 2, None)),
+                Node(F("0/1"), None, ("base", "unknot")),
             ),
             figure8_template(),
         )
@@ -267,12 +272,12 @@ class TestForgeries:
         # marking the partner 0/1 makes 1/2 the partner, and 2/5 and 1/2 are
         # not the mediant and partner of any Farey pair
         c = oriented_span_certificate(OrientedTarget(F("2/5"), ANTIPARALLEL))
-        nodes = list(c.nodes)
+        nodes = nodes_of(c)
         last = nodes[-1]
         _, i, j, res = last.just
         other = j if res == i else i
-        nodes[-1] = CertNode(last.frac, last.orient, ("triple", i, j, other))
-        forged = Certificate(ORIENTED, tuple(nodes), c.ambient)
+        nodes[-1] = Node(last.frac, last.orient, ("triple", i, j, other))
+        forged = from_nodes(ORIENTED, tuple(nodes), c.ambient)
         v = verify_certificate(forged)
         assert v == Verdict(False, 2, 2, "2/5 and 1/2 do not span a Farey pair")
 
@@ -344,8 +349,8 @@ class TestVerifierBranches:
         assert verify_certificate(certificate_from_json(data)) == verdict
 
     def test_unknown_justification_rejected_check1(self):
-        cert = Certificate(
-            UNORIENTED, [CertNode(F("1/1"), None, ("lemma", 0))], figure8_template()
+        cert = from_nodes(
+            UNORIENTED, [Node(F("1/1"), None, ("lemma", 0))], figure8_template()
         )
         assert verify_certificate(cert) == Verdict(
             False, 1, 0, "unknown justification 'lemma'"
@@ -359,7 +364,7 @@ class TestVerifierBranches:
         (("triple", 0, 1, 1, 0), "malformed triple justification ('triple', 0, 1, 1, 0)"),
     ])
     def test_justification_of_the_wrong_length_rejected_check1(self, just, message):
-        cert = Certificate(UNORIENTED, [CertNode(F("1/1"), None, just)], figure8_template())
+        cert = from_nodes(UNORIENTED, [Node(F("1/1"), None, just)], figure8_template())
         assert verify_certificate(cert) == Verdict(False, 1, 0, message)
 
     @pytest.mark.parametrize("i, j", [("a", "b"), (0, None), (1.0, 0), (0, True)])
@@ -367,8 +372,9 @@ class TestVerifierBranches:
         # "a" and None raised TypeError from 0 <= i; 1.0 passed it and
         # raised TypeError from ps[i]
         c = span_certificate(F("2/5"))
-        node = CertNode(c.nodes[2].frac, None, ("triple", i, j, None))
-        forged = Certificate(c.kind, (*c.nodes[:2], node, *c.nodes[3:]), c.ambient)
+        nodes = nodes_of(c)
+        nodes[2] = Node(nodes[2].frac, None, ("triple", i, j, None))
+        forged = from_nodes(c.kind, nodes, c.ambient)
         assert verify_certificate(forged) == Verdict(
             False, 1, 2, "triple indices must be integers"
         )
@@ -377,10 +383,10 @@ class TestVerifierBranches:
     def test_resolution_marker_must_be_an_int_check1(self, res):
         # True equals 1 and was read as node 1 (ACCEPT); 1.0 raised TypeError
         c = oriented_span_certificate(OrientedTarget(F("2/5"), ANTIPARALLEL))
-        n = c.nodes[2]
+        n = nodes_of(c)[2]
         assert n.just == ("triple", 0, 1, 1)
-        node = CertNode(n.frac, n.orient, ("triple", 0, 1, res))
-        forged = Certificate(c.kind, (*c.nodes[:2], node), c.ambient)
+        node = Node(n.frac, n.orient, ("triple", 0, 1, res))
+        forged = from_nodes(c.kind, (*nodes_of(c)[:2], node), c.ambient)
         assert verify_certificate(forged) == Verdict(
             False, 1, 2, "resolution marker must be a parent"
         )
@@ -437,9 +443,9 @@ def _mutated_oriented(rng):
         elif edit == 5:
             tags = [ANTIPARALLEL if tags[m] == PARALLEL else PARALLEL] * n
     nodes = [
-        CertNode(TangleFraction(p, q), t, j) for (p, q), t, j in zip(fracs, tags, justs)
+        Node(TangleFraction(p, q), t, j) for (p, q), t, j in zip(fracs, tags, justs)
     ]
-    return Certificate(ORIENTED, nodes, ambient)
+    return from_nodes(ORIENTED, nodes, ambient)
 
 
 def test_accepted_resolutions_are_the_pair_member_in_the_sector():
@@ -454,16 +460,16 @@ def test_accepted_resolutions_are_the_pair_member_in_the_sector():
         if cert is None or not verify_certificate(cert).accepted:
             continue
         accepted += 1
-        for node in cert.nodes:
+        for node in nodes_of(cert):
             if node.just[0] != "triple":
                 continue
             _, i, j, res = node.just
-            f, x = node.frac, cert.nodes[j if res == i else i].frac
+            f, x = node.frac, nodes_of(cert)[j if res == i else i].frac
             members = {
                 TangleFraction.make((f.p + s * x.p) // 2, (f.q + s * x.q) // 2)
                 for s in (1, -1)
             }
-            marked = cert.nodes[res].frac
+            marked = nodes_of(cert)[res].frac
             assert marked in members
             (other,) = members - {marked}
             sector = compatible_classes(node.orient)
@@ -478,7 +484,7 @@ class TestOrientedSpan:
         for tag in (PARALLEL, ANTIPARALLEL):
             c = oriented_span_certificate(OrientedTarget(F("1/2"), tag))
             assert len(c) == 1
-            assert c.nodes[0].just == ("base", "hopf")
+            assert nodes_of(c)[0].just == ("base", "hopf")
 
     def test_one_fifth_parallel_ladder(self):
         c = oriented_span_certificate(OrientedTarget(F("1/5"), PARALLEL))
@@ -488,10 +494,10 @@ class TestOrientedSpan:
 
     def test_two_fifths_partner_is_zero(self):
         c = oriented_span_certificate(OrientedTarget(F("2/5"), ANTIPARALLEL))
-        tri = c.nodes[-1]
+        tri = nodes_of(c)[-1]
         _, i, j, res = tri.just
-        partner = c.nodes[j if res == i else i].frac
-        resolution = c.nodes[res].frac
+        partner = nodes_of(c)[j if res == i else i].frac
+        resolution = nodes_of(c)[res].frac
         assert partner == F("0/1")
         assert resolution == F("1/2")
 
@@ -516,7 +522,7 @@ class TestOrientedSpan:
             )
             for tag in tags:
                 c = oriented_span_certificate(OrientedTarget(f, tag))
-                assert c.nodes[-1].frac == f
+                assert nodes_of(c)[-1].frac == f
                 v = verify_certificate(c)
                 assert v.accepted, (f, tag, str(v))
 
@@ -530,13 +536,13 @@ class TestOrientedSpan:
                 else [PARALLEL if f.p % 2 else ANTIPARALLEL]
             )
             for tag in tags:
-                for n in oriented_span_certificate(OrientedTarget(f, tag)).nodes:
+                for n in nodes_of(oriented_span_certificate(OrientedTarget(f, tag))):
                     if n.just[0] == "base":
                         assert n.frac.q in (1, 2)
 
     def test_negative_targets_mirror(self):
         c = oriented_span_certificate(OrientedTarget(F("-3/4"), PARALLEL))
-        assert c.nodes[-1].frac == F("-3/4")
+        assert nodes_of(c)[-1].frac == F("-3/4")
         assert verify_certificate(c).accepted
 
 
@@ -673,7 +679,7 @@ class TestOneFittedModel:
 
     def test_certificate_without_a_model_is_not_written(self, tmp_path):
         c = span_certificate(F("2/5"))
-        unfitted = Certificate(c.kind, c.nodes, TangleTemplate(parse_pd("T[1,2,1,2]")))
+        unfitted = on_ambient(c, TangleTemplate(parse_pd("T[1,2,1,2]")))
         path = tmp_path / "c.json"
         path.write_text("kept")
         save = lambda c: save_certificate(c, path)  # noqa: E731
@@ -694,8 +700,8 @@ class TestOneFittedModel:
     ])
     def test_justification_without_a_file_form_is_not_written(self, just, tmp_path):
         c = span_certificate(F("2/5"))
-        node = CertNode(F("2/5"), None, just)
-        forged = Certificate(c.kind, (*c.nodes[:2], node), c.ambient)
+        node = Node(F("2/5"), None, just)
+        forged = from_nodes(c.kind, (*nodes_of(c)[:2], node), c.ambient)
         path = tmp_path / "c.json"
         path.write_text("kept")
         save = lambda c: save_certificate(c, path)  # noqa: E731
@@ -707,7 +713,7 @@ class TestOneFittedModel:
     @pytest.mark.parametrize("pd", ["T[1,2,1,2]", "T[1,2,3,4] T[2,1,4,3]"])
     def test_unfitted_ambient_rejects_at_check_0(self, pd):
         c = span_certificate(F("2/5"))
-        v = verify_certificate(Certificate(c.kind, c.nodes, TangleTemplate(parse_pd(pd))))
+        v = verify_certificate(on_ambient(c, TangleTemplate(parse_pd(pd))))
         assert not v.accepted and v.check == 0 and v.node is None
         assert v.message == "ambient must be one fitted slot"
 
@@ -995,8 +1001,7 @@ def test_walk_matches_the_depth_first_oracle(ambient, tag):
         if isinstance(old, str) or isinstance(new, str):
             assert new == old, target
             continue
-        assert new.kind == old.kind and new.ambient == old.ambient, target
-        assert new.nodes == old.nodes, target
+        assert new == old, target
         # the budget's node count, made before the walk, is the walk's
         runs = certify._runs(target.p % target.q, target.q)
         compat = certify._SECTOR_PARITIES.get(tag)
@@ -1011,16 +1016,52 @@ def test_loading_and_verifying_builds_no_node_records(monkeypatch):
     data = json.loads(json.dumps(certificate_to_json(cert)))
     assert verify_certificate(cert).accepted  # the ambient refit is memoized
     built = []
-    for cls in (CertNode, TangleFraction):
-        init = cls.__init__
-        monkeypatch.setattr(
-            cls, "__init__",
-            lambda self, *args, _init=init, _cls=cls: built.append(_cls) or _init(self, *args),
-        )
+    init = TangleFraction.__init__
+    monkeypatch.setattr(
+        TangleFraction, "__init__",
+        lambda self, *args: built.append(args) or init(self, *args),
+    )
     assert verify_certificate(certificate_from_json(data)).accepted
     assert built == []
-    certificate_from_json(data).nodes  # noqa: B018 - the view builds them
-    assert built.count(CertNode) == built.count(TangleFraction) == 1000
+
+
+class TestCertificateRecord:
+    """A certificate is the record of its six fields, the node columns among
+    them: equality, hash, copies, pickles and repr read the columns as they
+    are, with no per-node record."""
+
+    def test_value_semantics_on_columns(self):
+        a, b = span_certificate(F("5/13")), span_certificate(F("5/13"))
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != span_certificate(F("5/13"), TEMPLATES["twist"])
+        for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert copied == a and type(copied) is Certificate
+        assert repr(a) == (
+            f"Certificate(kind='unoriented', ambient={a.ambient!r}, ps={a.ps!r}, "
+            f"qs={a.qs!r}, tags={a.tags!r}, justs={a.justs!r})"
+        )
+        assert type(a.ps) is type(a.justs) is tuple
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_columns_of_unequal_length_are_refused(self, column):
+        c = span_certificate(F("2/5"))
+        columns = [list(c.ps), list(c.qs), list(c.tags), list(c.justs)]
+        del columns[column][-1]
+        with pytest.raises(CertificateError, match="columns of unequal length"):
+            Certificate(c.kind, c.ambient, *columns)
+
+    def test_a_long_certificate_compares_hashes_and_pickles_in_linear_time(self):
+        # 10,001 nodes: equality, hash and a pickle round trip touch each
+        # column once, with no record or fraction built per node
+        a, b = span_certificate(F("1/10000")), span_certificate(F("1/10000"))
+        assert len(a) == 10_001
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assert a == b and hash(a) == hash(b)
+            assert pickle.loads(pickle.dumps(a)) == a
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05
 
 
 # -- fuzzing the JSON loader ------------------------------------------------------

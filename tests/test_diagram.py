@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tanglekit._record import _Record
-from tanglekit.certify import Certificate, CertNode, OrientedTarget, Verdict
+from tanglekit.certify import Certificate, OrientedTarget, Verdict
 from tanglekit.corpus import CorpusEntry
 from tanglekit.diagram import (
     _UnionFind,
@@ -348,6 +348,16 @@ class TestCompose:
         with pytest.raises(PDError):
             connected_sum(t, 99, t, 1)
 
+    @pytest.mark.parametrize("a1, a2, name", [
+        (1.0, 1, "a1"), ("1", 1, "a1"), (True, 1, "a1"), (1, 1.0, "a2"), (1, True, "a2"),
+    ])
+    def test_connected_sum_edges_must_be_exact_ints(self, a1, a2, name):
+        # 1.0 raised TypeError from list indexing, "1" from a comparison, and
+        # True passed the range test and failed later as a bad label
+        t = parse_pd(TREFOIL)
+        with pytest.raises(PDError, match=f"edge {name} must be an int, not"):
+            connected_sum(t, a1, t, a2)
+
     def test_double_occurrence_preserved(self):
         t = parse_pd(TREFOIL)
         g = connected_sum(t, 2, t, 4)
@@ -377,6 +387,14 @@ class TestFillSlot:
         out = fill_slot(d, 0, ((1, 2, 4, 3),), (1, 3, 2, 4))
         assert len(out.crossings) == 1
         assert components(out) == 1
+
+    def test_the_tangle_may_come_as_iterators(self):
+        # the tangle is read twice, once to check it and once to glue it in
+        d = parse_pd(FIG8_TEMPLATE)
+        tangle = ((1, 2, 4, 3),), (1, 3, 2, 4)
+        out = fill_slot(d, 0, iter(tangle[0]), iter(tangle[1]))
+        assert out == fill_slot(d, 0, *tangle)
+        assert len(out.crossings) == 1
 
     @pytest.mark.parametrize("slot", [True, False, 0.0, 1.0])
     def test_slot_index_must_be_an_exact_int(self, slot):
@@ -449,16 +467,9 @@ def _fig8() -> TangleTemplate:
     return TangleTemplate(parse_pd(FIG8_TEMPLATE), (1, 0))
 
 
-def _node() -> CertNode:
-    return CertNode(F(1, 1), None, ("base", "unknot"))
-
-
 FIG8_REPR = (
     "TangleTemplate(diagram=LinkDiagram(crossings=(), slots=((1, 2, 1, 2),),"
     " loops=0, orientation=None), coeffs=(1, 0))"
-)
-NODE_REPR = (
-    "CertNode(frac=TangleFraction(p=1, q=1), orient=None, just=('base', 'unknot'))"
 )
 
 # one instance of every record class, built fresh by each call, and its repr
@@ -475,11 +486,11 @@ RECORDS = [
     (lambda: ScanReport(1, ((F(1, 0), 1, (F(0, 1),)),)),
      "ScanReport(bound=1, records=((TangleFraction(p=1, q=0), 1,"
      " (TangleFraction(p=0, q=1),)),))"),
-    (_node, NODE_REPR),
     (lambda: OrientedTarget(F(1, 2), "parallel"),
      "OrientedTarget(fraction=TangleFraction(p=1, q=2), orientation='parallel')"),
-    (lambda: Certificate("unoriented", (_node(),), _fig8()),
-     f"Certificate(kind='unoriented', nodes=({NODE_REPR},), ambient={FIG8_REPR})"),
+    (lambda: Certificate("unoriented", _fig8(), [1], [1], [None], [("base", "unknot")]),
+     f"Certificate(kind='unoriented', ambient={FIG8_REPR}, ps=(1,), qs=(1,),"
+     " tags=(None,), justs=(('base', 'unknot'),))"),
     (lambda: Verdict(False, 3, 1, "determinant zero"),
      "Verdict(accepted=False, check=3, node=1, message='determinant zero')"),
     (lambda: CorpusEntry("3_1", TREFOIL, 1, 3),

@@ -21,8 +21,6 @@ import tanglekit
 from tanglekit import (
     ANTIPARALLEL,
     PARALLEL,
-    Certificate,
-    CertNode,
     ContinuedFraction,
     FareyPair,
     LinkDiagram,
@@ -36,6 +34,7 @@ from tanglekit import (
     span_certificate,
 )
 from tanglekit.certify import certificate_text
+from certify_oracle import Node, from_nodes, nodes as nodes_of
 from tangle_oracles import farey_neighbor, oriented_figure8
 
 CALLS = 10_000
@@ -165,19 +164,19 @@ def justification(rng):
 
 def forged(rng, cert, templates):
     """A certificate with edited nodes, kind or ambient."""
-    kind, ambient, nodes = cert.kind, cert.ambient, list(cert.nodes)
+    kind, ambient, nodes = cert.kind, cert.ambient, nodes_of(cert)
     for _ in range(rng.randint(1, 3)):
         m = rng.randrange(len(nodes)) if nodes else 0
         edit = rng.randrange(8)
         if edit == 0 and nodes:
             n = nodes[m]
-            nodes[m] = CertNode(n.frac, rng.choice((*TAGS, None)), n.just)
+            nodes[m] = Node(n.frac, rng.choice((*TAGS, None)), n.just)
         elif edit == 1 and nodes:
             n = nodes[m]
-            nodes[m] = CertNode(n.frac, n.orient, justification(rng))
+            nodes[m] = Node(n.frac, n.orient, justification(rng))
         elif edit == 2 and nodes:
             n = nodes[m]
-            nodes[m] = CertNode(fraction(rng), n.orient, n.just)
+            nodes[m] = Node(fraction(rng), n.orient, n.just)
         elif edit == 3 and nodes:
             del nodes[m]
         elif edit == 4:
@@ -187,14 +186,14 @@ def forged(rng, cert, templates):
             n = nodes[m]
             k = rng.randrange(1, len(n.just))
             just = n.just[:k] + (rng.choice(NOT_INTS),) + n.just[k + 1 :]
-            nodes[m] = CertNode(n.frac, n.orient, just)
+            nodes[m] = Node(n.frac, n.orient, just)
         elif edit == 6 and kind == "unoriented" and nodes and len(nodes[m].just) == 4:
             # a parent marked as the resolution of an unoriented triple
             n = nodes[m]
-            nodes[m] = CertNode(n.frac, n.orient, (*n.just[:3], rng.choice(n.just[1:3])))
+            nodes[m] = Node(n.frac, n.orient, (*n.just[:3], rng.choice(n.just[1:3])))
         else:
             ambient = rng.choice(templates)
-    return Certificate(kind, nodes, ambient)
+    return from_nodes(kind, nodes, ambient)
 
 
 DIAGRAMS, TEMPLATES, PAIRS, CERTS = _pools()
@@ -308,7 +307,13 @@ def or_not_exact(make):
 
 
 SLOT = or_not_exact(lambda rng: rng.randint(-1, 2))
-NODES = lambda rng: rng.choice(CERTS).nodes  # noqa: E731
+
+
+def column(name):
+    """A drawer of one column of a pool certificate; columns drawn apart
+    mostly differ in length."""
+    return lambda rng: getattr(rng.choice(CERTS), name)
+
 
 # public callable -> argument makers; "path" stands for a file of random
 # content in the test's temporary directory
@@ -326,7 +331,10 @@ CALLS_BY_NAME = {
     "TangleTemplate": (
         D, lambda rng: rng.choice((None, (small(rng), small(rng)), flags(rng)))
     ),
-    "Certificate": (lambda rng: rng.choice(("oriented", "unoriented", "")), NODES, T),
+    "Certificate": (
+        lambda rng: rng.choice(("oriented", "unoriented", "")), T,
+        column("ps"), column("qs"), column("tags"), column("justs"),
+    ),
     "bundled_templates": (),
     "certificate_from_json": (json_forgery,),
     "certificate_to_json": (C,),
@@ -335,7 +343,7 @@ CALLS_BY_NAME = {
     "coloring_matrix": (D,),
     "compile_word": (cf,),
     "components": (D,),
-    "connected_sum": (D, small, D, small),
+    "connected_sum": (D, or_not_exact(small), D, or_not_exact(small)),
     "connectivity": (fraction,),
     "crossing_change": (D, or_not_exact(small)),
     "determinant": (D,),
@@ -370,7 +378,7 @@ CALLS_BY_NAME = {
 
 # exceptions and records that check nothing (fields are stored as given)
 UNCHECKED = {
-    "CertificateError", "PDError", "TemplateError", "CertNode", "CompiledTangle",
+    "CertificateError", "PDError", "TemplateError", "CompiledTangle",
     "CorpusEntry", "ScanReport", "Verdict",
 }
 

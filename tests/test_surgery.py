@@ -20,7 +20,6 @@ from tanglekit.corpus import bundled_templates, load_corpus
 from tanglekit.diagram import (
     LinkDiagram,
     PDError,
-    _surgery,
     components,
     crossing_change,
     fill_slot,
@@ -198,24 +197,42 @@ class TestOutputsAgreeWithTheConstructor:
         assert runs == []
 
 
-class TestOutputCheck:
-    """A surgery whose joins break the label rule raises PDError from the
-    output check, since no constructor runs to catch it."""
+# malformed tangles handed to fill_slot, and what each error must name: a
+# stub label 0, stubs that only equal ints, three stubs, a three-entry
+# crossing, labels used once, and a label used three times
+MALFORMED_TANGLES = {
+    "zero": ((), (0, 0, 2, 2), r"positive integers, not \[0, 0\]"),
+    "bools": ((), (True, True, 2, 2), r"positive integers, not \[True, True\]"),
+    "floats": ((), (1.0, 1.0, 2, 2), r"positive integers, not \[1\.0, 1\.0\]"),
+    "bool-beside-int": ((), (1, True, 2, 2), r"positive integers, not \[True\]"),
+    "three-stubs": ((), (1, 1, 2), r"four entries, not \[\(1, 1, 2\)\]"),
+    "three-entry-crossing": (
+        ((1, 2, 3),), (1, 2, 3, 4), r"four entries, not \[\(1, 2, 3\)\]"
+    ),
+    "used-once": ((), (1, 2, 3, 3), r"exactly twice: \[1, 2\]"),
+    "used-thrice": (((1, 2, 3, 4),), (1, 1, 3, 4), r"exactly twice: \[1, 2\]"),
+}
 
-    def test_a_label_left_once_three_or_four_times_is_refused(self):
-        d = parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
-        a, b, c, e = d.crossings[0]
-        rest = d.crossings[1:]
-        other = min(set(range(1, 7)) - {a, b, c, e})
-        # the smoothing with one join missing leaves b and c once each; b
-        # joined to a label of another crossing occurs three times
-        for joins in ([(a, e)], [(a, e), (b, other)]):
-            with pytest.raises(PDError, match="label rule"):
-                _surgery(d, rest, d.slots, joins, None)
-        # two labels joined with no crossing removed: one label, four times
-        with pytest.raises(PDError, match="label rule"):
-            _surgery(d, d.crossings, d.slots, [(a, other)], None)
-        assert _surgery(d, rest, d.slots, [(a, e), (b, c)], None) == resolve(d, 0, 0)
+
+class TestMalformedTangle:
+    """fill_slot checks the tangle as the constructor checks a diagram, before
+    any work: an unoriented and an oriented template refuse it alike."""
+
+    @pytest.mark.parametrize("tag", [None, "parallel", "antiparallel"])
+    @pytest.mark.parametrize(
+        "crossings, stubs, match", MALFORMED_TANGLES.values(), ids=MALFORMED_TANGLES
+    )
+    def test_is_refused_with_its_labels_named(self, tag, crossings, stubs, match):
+        d = (oriented_figure8(tag) if tag else figure8_template()).diagram
+        with pytest.raises(PDError, match=match):
+            fill_slot(d, 0, crossings, stubs)
+
+    def test_every_compiled_tangle_passes_the_check(self):
+        d = figure8_template().diagram
+        fracs = list(reduced_fractions(30))
+        assert len(fracs) == 1112
+        for f in fracs:
+            assert not fill_slot(d, 0, *compiled(f)).slots
 
 
 class TestIncompatibleFill:
