@@ -68,7 +68,6 @@ _SUBMODULE_NAMES = {
     "tangle": (
         "ANTIPARALLEL",
         "PARALLEL",
-        "CompiledTangle",
         "ContinuedFraction",
         "TangleFraction",
         "cf_to_fraction",

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import gcd
 
 from ._record import _Record
-from .diagram import LinkDiagram, PDError, parse_pd, pd_string
+from .diagram import LinkDiagram, PDError, is_planar, parse_pd, pd_string
 from . import skein as _skein
 from .skein import TangleTemplate, TemplateError, figure8_template, fit_coefficients
 from .skein import insertion_det
@@ -260,16 +260,24 @@ def _refit(diagram: LinkDiagram, det) -> tuple[int, int]:
     probes with, so that function keys the memo beside the diagram's value:
     a rebound determinant (a wrapper, a patched build) refits instead of
     reusing a fit it never made.
+
+    A diagram that is not planar is refused even when its fit holds: the
+    linear form can pass every probe there and still miss the determinant
+    at other fractions. The test runs after the fit, whose refusal, when
+    there is one, says more.
     """
-    return fit_coefficients(TangleTemplate(diagram))
+    coeffs = fit_coefficients(TangleTemplate(diagram))
+    if not is_planar(diagram):
+        raise TemplateError("diagram is not planar")
+    return coeffs
 
 
 def verify_certificate(cert: Certificate) -> Verdict:
     """Re-check a certificate independently of how it was generated.
 
-    0. the recorded ambient coefficients match a fresh fit of its diagram
-       (the fit is memoized by diagram value and the determinant in use;
-       the comparison runs on every call);
+    0. the ambient diagram is planar, and the recorded coefficients match a
+       fresh fit of it (the fit and planarity test are memoized by diagram
+       value and the determinant in use; the comparison runs on every call);
     1. each justification is a base or a triple of its length, and triples
        reference strictly earlier nodes (DAG order) by int index; an oriented
        triple marks one of them as its resolution, an unoriented one none;

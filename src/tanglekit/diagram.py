@@ -16,7 +16,7 @@ stored. One helper, `_label_rule`, does the renumbering and the rotation. The
 `LinkDiagram` constructor checks caller input before calling it, so
 `LinkDiagram(...)` accepts exactly what `parse_pd` accepts. Surgery calls it
 on its own result, which is valid by construction: its inputs are a checked
-diagram and, for `fill_slot`, a tangle checked by the same rule.
+diagram and, for `fill_slot`, a tangle that is a checked diagram too.
 
 Position 4v + i is entry i of tuple v, crossings first and slots after them,
 so `q >> 2` is its tuple and `q ^ 2` the entry across a crossing. A diagram's
@@ -70,7 +70,7 @@ def _exact_int(value: int, name: str) -> int:
     return value
 
 
-def _checked_labels(tuples: list[tuple], slots: list[tuple] = ()) -> list[int]:
+def _checked_labels(tuples: list[tuple], slots: list[tuple]) -> list[int]:
     """The labels of `tuples` in order; PDError, naming what is wrong, unless
     every tuple has four entries and every label is an exact positive int
     that occurs exactly twice. The exact type of every entry is read, not of
@@ -540,13 +540,8 @@ def oriented_resolve(d: LinkDiagram, site: int) -> LinkDiagram:
     if not 0 <= i < len(d.crossings):
         raise PDError(f"crossing index {i} out of range")
     heads = d._heads()
-    ins = _entering(heads, i)
-    if ins in ({0, 3}, {1, 2}):
-        which = 1
-    elif ins in ({0, 1}, {2, 3}):
-        which = 0
-    else:  # pragma: no cover - tracing guarantees one under-, one over-entry
-        raise PDError(f"inconsistent directions at crossing {i}: {ins}")
+    # each strand runs in at one end: entry 0 or 2 (under), entry 1 or 3 (over)
+    which = 1 if _entering(heads, i) in ({0, 3}, {1, 2}) else 0
     return _smooth(d, i, which, heads)
 
 
@@ -599,29 +594,29 @@ def connected_sum(
     )
 
 
-def fill_slot(
-    d: LinkDiagram,
-    slot_index: int,
-    crossings: tuple[tuple[int, int, int, int], ...],
-    stubs: tuple[int, int, int, int],
-) -> LinkDiagram:
-    """Replace one slot with compiled tangle crossings.
+def fill_slot(d: LinkDiagram, slot_index: int, tangle: LinkDiagram) -> LinkDiagram:
+    """Glue a tangle into one slot.
 
-    `stubs` are the tangle's (nw, ne, sw, se) boundary edges in its own label
-    space; they are glued to the slot's (a, b, c, d). The tangle is checked
-    before any work, as the constructor checks a diagram: four entries per
-    crossing, four stubs, and every label an exact positive int that occurs
-    exactly twice across the crossings and the stubs. Orientation, when
-    present, carries to the result; a tangle whose strands join two entering
-    or two leaving slot endpoints raises PDError.
+    The tangle is an unoriented one-slot `LinkDiagram` without free loops,
+    such as `compile_word` builds, whose slot T[nw, sw, ne, se] is its
+    boundary seen from outside the disk; nw, ne, sw and se are glued to the
+    slot's (a, b, c, d). Both diagrams were checked when they were built.
+    Orientation, when present, carries to the result; a tangle whose strands
+    join two entering or two leaving slot endpoints raises PDError.
     """
     if not 0 <= _exact_int(slot_index, "slot index") < len(d.slots):
         raise PDError(f"slot index {slot_index} out of range")
-    crossings, stubs = tuple(crossings), tuple(stubs)
-    _checked_labels([*crossings, stubs])
+    if (
+        not isinstance(tangle, LinkDiagram)
+        or len(tangle.slots) != 1
+        or tangle.loops
+        or tangle.orientation is not None
+    ):
+        raise PDError("a tangle is an unoriented one-slot diagram without loops")
+    crossings, (nw, sw, ne, se) = tangle.crossings, tangle.slots[0]
     shift = d.arc_count
     add = [(a + shift, b + shift, c + shift, e + shift) for a, b, c, e in crossings]
-    glue = [s + shift for s in stubs]
+    glue = [nw + shift, ne + shift, sw + shift, se + shift]
     slot = d.slots[slot_index]
     keep_slots = d.slots[:slot_index] + d.slots[slot_index + 1 :]
     where = heads = None

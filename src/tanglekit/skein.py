@@ -25,7 +25,6 @@ from .tangle import (
     AB_CD,
     AC_BD,
     AD_BC,
-    CompiledTangle,
     TangleFraction,
     compile_word,
     connectivity,
@@ -109,10 +108,11 @@ def _check_slot(t: TangleTemplate, slot: int) -> None:
 
 
 @lru_cache(maxsize=256)
-def _compiled(f: TangleFraction) -> CompiledTangle:
-    """The crossings and stubs of f's standard tangle. A fit splices the same
-    eight fractions into every template, and a scan splices only those, so
-    each is compiled once; the result is immutable."""
+def _compiled(f: TangleFraction) -> LinkDiagram:
+    """f's standard tangle, a one-slot diagram. A fit splices the same eight
+    fractions into every template, and a scan splices only those, so each is
+    compiled, and checked by the diagram constructor, once; the result is
+    immutable."""
     return compile_word(fraction_to_cf(f))
 
 
@@ -130,8 +130,7 @@ def splice(t: TangleTemplate, slot: int, f: TangleFraction):
         raise TemplateError(
             f"tangle {f} is not orientation compatible with slot {slot}"
         )
-    compiled = _compiled(f)
-    out = fill_slot(t.diagram, slot, compiled.crossings, compiled.stubs)
+    out = fill_slot(t.diagram, slot, _compiled(f))
     if out.slots:
         return TangleTemplate(out)
     return out

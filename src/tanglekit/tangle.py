@@ -11,6 +11,11 @@ Endpoint labels follow the fixed disk picture: a = top-left (NW), b = top-right
 (NE), c = bottom-left (SW), d = bottom-right (SE). The horizontal trivial
 tangle 0/1 joins a-b and c-d; the vertical trivial tangle 1/0 joins a-c and
 b-d. Negative twists are crossing-wise mirrors of positive ones.
+
+A compiled tangle is a one-slot `LinkDiagram` whose slot is the rest of the
+plane, its boundary seen from outside the disk: T[nw, sw, ne, se]. Seen from
+there the corners run the other way round, so NE and SW trade places, and
+the slot reads as any diagram's slot does.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from ._record import _Record
 __all__ = [
     "TangleFraction",
     "ContinuedFraction",
-    "CompiledTangle",
     "cf_to_fraction",
     "fraction_to_cf",
     "compile_word",
@@ -95,9 +99,6 @@ class TangleFraction(_Record):
     def is_infinity(self) -> bool:
         return self.q == 0
 
-    def mirror(self) -> "TangleFraction":
-        return TangleFraction.make(-self.p, self.q)
-
     def parity(self) -> tuple[int, int]:
         return (self.p % 2, self.q % 2)
 
@@ -153,21 +154,6 @@ class ContinuedFraction(_Record):
         return ContinuedFraction(tuple(terms))
 
 
-class CompiledTangle(_Record):
-    """Crossings of a compiled continued fraction plus its four boundary edges
-    nw, ne, sw, se.
-
-    Crossing tuples follow the ambient PD convention (counterclockwise from the
-    incoming under-strand); stub edges may coincide (trivial tangles).
-    """
-
-    __slots__ = _fields = ("crossings", "nw", "ne", "sw", "se")
-
-    @property
-    def stubs(self) -> tuple[int, int, int, int]:
-        return (self.nw, self.ne, self.sw, self.se)
-
-
 def cf_to_fraction(cf: ContinuedFraction) -> TangleFraction:
     """Evaluate a continued fraction exactly in Q+.
 
@@ -210,8 +196,9 @@ def fraction_to_cf(f: TangleFraction) -> ContinuedFraction:
     return ContinuedFraction(tuple(terms))
 
 
-def compile_word(cf: ContinuedFraction) -> CompiledTangle:
-    """Compile a continued fraction to PD crossings with four boundary stubs.
+def compile_word(cf: ContinuedFraction):
+    """Compile a continued fraction to a one-slot `LinkDiagram`: its crossings
+    and the slot T[nw, sw, ne, se] (see the module docstring).
 
     The term at index i (from 0) adds |a_i| half-twists: on the right
     (horizontal) for even i, stacked below (vertical) for odd i. An infinite
@@ -219,8 +206,12 @@ def compile_word(cf: ContinuedFraction) -> CompiledTangle:
     horizontal one, so the crossing count is the sum of |a_i|. Positive
     horizontal twists make the SW-NE strand pass over; positive vertical
     twists are the same crossing read sideways. Fresh edge labels are issued
-    left to right, top to bottom.
+    left to right, top to bottom, so the labels are 1..n and each crossing
+    starts with an older label than its third entry: the diagram keeps the
+    crossings as built, with no renumbering or rotation.
     """
+    from .diagram import LinkDiagram  # the tangle verb loads this module only
+
     crossings: list[tuple[int, int, int, int]] = []
     next_label = 3
     terms = cf.terms
@@ -250,7 +241,7 @@ def compile_word(cf: ContinuedFraction) -> CompiledTangle:
                 else:
                     crossings.append((r, l, a, b))
                 sw, se = a, b
-    return CompiledTangle(tuple(crossings), nw, ne, sw, se)
+    return LinkDiagram(crossings, [(nw, sw, ne, se)])
 
 
 def connectivity(f: TangleFraction) -> str:

@@ -15,7 +15,10 @@ position) triples, kind 0 for a crossing and 1 for a slot. `units`,
 `edge_directions`, `incoming`, `is_planar` and `connected_sum` are the
 library's code before the change, and `surgery` is its `_surgery` with the
 `where` maps of `crossing_change`, `oriented_resolve` and `fill_slot` on
-triples. They share no position arithmetic with the library.
+triples. They share no position arithmetic with the library, and the label
+rule and union-find they use are this module's own: `_label_rule` and
+`UnionFind` below, so a differential never runs the library's code on both
+sides.
 """
 
 from __future__ import annotations
@@ -25,12 +28,51 @@ import re
 from itertools import chain, combinations
 
 from tanglekit._record import _Record
-from tanglekit.diagram import (
-    LinkDiagram,
-    PDError,
-    _label_rule,
-    _UnionFind,
-)
+from tanglekit.diagram import LinkDiagram, PDError
+
+
+class UnionFind:
+    """Disjoint sets of labels: `merge` links the roots of each pair, the
+    first's under the second's, and counts pairs already joined; `roots`
+    maps every label merged into another to its root. No path is shortened."""
+
+    def __init__(self) -> None:
+        self.parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        while x in self.parent:
+            x = self.parent[x]
+        return x
+
+    def merge(self, pairs) -> int:
+        closed = 0
+        for x, y in pairs:
+            rx, ry = self.find(x), self.find(y)
+            if rx == ry:
+                closed += 1
+            else:
+                self.parent[rx] = ry
+        return closed
+
+    def roots(self) -> dict[int, int]:
+        return {x: self.find(x) for x in self.parent}
+
+
+def _label_rule(flat: list[int], k: int):
+    """The label rule on the labels of k crossings and then of the slots,
+    four per tuple: labels not already 1..n are numbered 1..n in order of
+    first appearance, and each crossing is stored as the smaller of itself
+    and its rotation by two. Returns the final labels, the tuples before
+    rotation and the stored crossings."""
+    labels = set(flat)
+    if labels != set(range(1, len(labels) + 1)):
+        number: dict[int, int] = {}
+        for e in flat:
+            number.setdefault(e, len(number) + 1)
+        flat = [number[e] for e in flat]
+    tuples = [tuple(flat[i : i + 4]) for i in range(0, len(flat), 4)]
+    crossings = tuple(_canon(t) for t in tuples[:k])
+    return flat, tuples, crossings
 
 
 def _check_twice(flat: list[int]) -> None:
@@ -267,7 +309,7 @@ def is_planar(d: LinkDiagram) -> bool:
     for v, rot in enumerate(rotations):
         for i, e in enumerate(rot):
             ends.setdefault(e, []).append((v, i))
-    pieces = _UnionFind()
+    pieces = UnionFind()
     pieces.merge((rot[0], e) for rot in rotations for e in rot[1:])
 
     faces = 0
@@ -319,7 +361,7 @@ def _inherit(new: LinkDiagram, heads: dict[int, Occ]) -> tuple[int, ...]:
 def surgery(d: LinkDiagram, crossings, slots, joins, where) -> LinkDiagram:
     """The library's `_surgery`, with `where` mapping old occurrences to new
     ones (before canonical rotation), or to None."""
-    uf = _UnionFind()
+    uf = UnionFind()
     closed = uf.merge(joins)
     alias = uf.roots()
     k = len(crossings)
@@ -327,7 +369,7 @@ def surgery(d: LinkDiagram, crossings, slots, joins, where) -> LinkDiagram:
     flat += chain.from_iterable(slots)
     if alias:
         flat = list(map(alias.get, flat, flat))
-    flat, tuples, crossings = _label_rule(flat, dict.fromkeys(flat), k)
+    flat, tuples, crossings = _label_rule(flat, k)
     _check_twice(flat)
     new = object.__new__(LinkDiagram)
     vars(new).update(
@@ -374,7 +416,11 @@ def oriented_resolve(d: LinkDiagram, i: int) -> LinkDiagram:
     return surgery(d, d.crossings[:i] + d.crossings[i + 1 :], d.slots, joins, where)
 
 
-def fill_slot(d: LinkDiagram, slot_index: int, crossings, stubs) -> LinkDiagram:
+def fill_slot(d: LinkDiagram, slot_index: int, tangle: LinkDiagram) -> LinkDiagram:
+    """The library's `fill_slot` with its tangle given as crossings and the
+    stubs (nw, ne, sw, se), read off the tangle's slot T[nw, sw, ne, se]."""
+    nw, sw, ne, se = tangle.slots[0]
+    crossings, stubs = tangle.crossings, (nw, ne, sw, se)
     shift = d.arc_count
     add = [(a + shift, b + shift, c + shift, e + shift) for a, b, c, e in crossings]
     glue = [s + shift for s in stubs]

@@ -1,8 +1,8 @@
 """Test-only oracles of the tangle layer, kept apart from the library, which
 inserts tangles by fraction only: the twist word (a second statement of the
 compile recipe, with its own evaluator `word_fraction` and word compiler),
-strand tracing, aligned compilations of skein triples, insertion of compiled
-crossings straight into a slot, the pairwise two-slot scan, the
+strand tracing, aligned compilations of skein triples, insertion of their
+crossings into a slot, the pairwise two-slot scan, the
 component-merging skein step, the class-table statements of the
 orientation rule that the library's one slot query and one tag table
 replaced, and the figure-8 template oriented for a sector, which the library
@@ -26,8 +26,7 @@ from tanglekit.skein import (
     zero_locus,
 )
 from tanglekit.tangle import AB_CD, AC_BD, AD_BC, ANTIPARALLEL, PARALLEL
-from tanglekit.tangle import CompiledTangle, ContinuedFraction, TangleFraction
-from tanglekit.tangle import compile_word, fraction_to_cf
+from tanglekit.tangle import ContinuedFraction, TangleFraction, fraction_to_cf
 
 
 def farey_neighbor(f: TangleFraction) -> TangleFraction:
@@ -41,6 +40,26 @@ def farey_neighbor(f: TangleFraction) -> TangleFraction:
 
 
 # -- the twist word ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WordTangle:
+    """Crossings of a compiled word plus its four boundary edges, named by
+    the disk picture: the form the library's compiler returned before a
+    tangle became a one-slot diagram."""
+
+    crossings: tuple[tuple[int, int, int, int], ...]
+    nw: int
+    ne: int
+    sw: int
+    se: int
+
+
+def as_diagram(t: WordTangle) -> LinkDiagram:
+    """The one-slot diagram of t: seen from outside the disk its corners run
+    the other way round, so the slot lists them as T[nw, sw, ne, se]."""
+    return LinkDiagram(t.crossings, [(t.nw, t.sw, t.ne, t.se)])
+
 
 # (start, ops): start 'h' (two horizontal strands) or 'v' (two vertical
 # strands); each op ('h', k) adds |k| half-twists on the right, ('v', k)
@@ -77,7 +96,7 @@ def word_fraction(w: Word) -> TangleFraction:
     return TangleFraction.make(p, q)
 
 
-def compile_twist_word(w: Word) -> CompiledTangle:
+def compile_twist_word(w: Word) -> WordTangle:
     """Compile a word to PD crossings with four boundary stubs, op by op, as
     the library compiled words before it read continued fractions directly."""
     start, ops = w
@@ -108,7 +127,7 @@ def compile_twist_word(w: Word) -> CompiledTangle:
                 else:
                     crossings.append((r, l, a, b))
                 sw, se = a, b
-    return CompiledTangle(tuple(crossings), nw, ne, sw, se)
+    return WordTangle(tuple(crossings), nw, ne, sw, se)
 
 
 # -- the orientation rule as class tables ----------------------------------------
@@ -170,11 +189,12 @@ def oriented_figure8(tag: str) -> TangleTemplate:
     return TangleTemplate(figure8_template().diagram.with_orientation(flags), (1, 0))
 
 
-def trace_connectivity(t: CompiledTangle) -> str:
-    """Endpoint pairing found by brute-force strand tracing of compiled
-    crossings; independent of the parity rule."""
+def trace_connectivity(t: LinkDiagram) -> str:
+    """Endpoint pairing found by brute-force strand tracing of a compiled
+    tangle's crossings; independent of the parity rule."""
+    nw, sw, ne, se = t.slots[0]
     parent = {e: e for x in t.crossings for e in x}
-    parent.update((e, e) for e in t.stubs)
+    parent.update((e, e) for e in (nw, sw, ne, se))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -188,22 +208,22 @@ def trace_connectivity(t: CompiledTangle) -> str:
     for a, b, c, d in t.crossings:
         union(a, c)
         union(b, d)
-    if find(t.nw) == find(t.ne):
-        if find(t.sw) != find(t.se):
+    if find(nw) == find(ne):
+        if find(sw) != find(se):
             raise ValueError("compiled tangle does not pair its endpoints")
         return AB_CD
-    if find(t.nw) == find(t.sw):
-        if find(t.ne) != find(t.se):
+    if find(nw) == find(sw):
+        if find(ne) != find(se):
             raise ValueError("compiled tangle does not pair its endpoints")
         return AC_BD
-    if find(t.nw) == find(t.se):
+    if find(nw) == find(se):
         return AD_BC
     raise ValueError("compiled tangle does not pair its endpoints")
 
 
-def insert(t: TangleTemplate, compiled: CompiledTangle) -> LinkDiagram:
-    """Fill the only slot of a one-slot template with compiled crossings."""
-    return fill_slot(t.diagram, 0, compiled.crossings, compiled.stubs)
+def insert(t: TangleTemplate, tangle: WordTangle) -> LinkDiagram:
+    """Fill the only slot of a one-slot template with a word's crossings."""
+    return fill_slot(t.diagram, 0, as_diagram(tangle))
 
 
 @dataclass(frozen=True)
@@ -217,8 +237,8 @@ class AlignedWords:
     distinguished crossing flipped.
     """
 
-    mediant: CompiledTangle
-    partner_flipped: CompiledTangle
+    mediant: WordTangle
+    partner_flipped: WordTangle
     distinguished: int
     res_block_fraction: TangleFraction
     res_trivial_fraction: TangleFraction
@@ -235,11 +255,11 @@ def _raw_word(terms: tuple[int, ...], parity: str) -> Word:
     return parity, tuple(ops)
 
 
-def _flip_crossing(t: CompiledTangle, index: int) -> CompiledTangle:
+def _flip_crossing(t: WordTangle, index: int) -> WordTangle:
     x = t.crossings[index]
     flipped = (x[1], x[2], x[3], x[0])
     crossings = t.crossings[:index] + (flipped,) + t.crossings[index + 1 :]
-    return CompiledTangle(crossings, t.nw, t.ne, t.sw, t.se)
+    return WordTangle(crossings, t.nw, t.ne, t.sw, t.se)
 
 
 def mediant_words(med: TangleFraction) -> AlignedWords:
@@ -259,7 +279,7 @@ def mediant_words(med: TangleFraction) -> AlignedWords:
     t1, rest = terms[0], terms[1:]
     flip_parity = "v" if parity == "h" else "h"
 
-    med_compiled = compile_word(cf)
+    med_compiled = compile_twist_word(cf_to_word(cf))
     # the innermost block is compiled first: its last crossing is |a1| - 1
     distinguished = abs(t1) - 1
 

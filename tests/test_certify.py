@@ -30,10 +30,12 @@ from tanglekit.certify import (
 )
 from tanglekit.coloring import determinant
 from tanglekit.corpus import bundled_templates
-from tanglekit.diagram import connected_sum, parse_pd
+from tanglekit.diagram import LinkDiagram, connected_sum, is_planar, parse_pd, pd_string
 from tanglekit.skein import (
     TangleTemplate,
+    TemplateError,
     figure8_template,
+    fit_coefficients,
     reduced_fractions,
     splice,
     zero_locus,
@@ -50,6 +52,14 @@ from tangle_oracles import (
 F = TangleFraction.parse
 TREFOIL = parse_pd("X[1,2,3,4] X[2,5,6,3] X[4,6,5,1]")
 TEMPLATES = bundled_templates()
+# a certificate over a one-slot ambient that is not planar, yet whose fit
+# (0, 1) holds at all eight probes; the closure at -2/1 has determinant 0,
+# not the model's 2
+FITTING_NON_PLANAR = {
+    "kind": "unoriented",
+    "ambient": {"pd": "X[1,2,3,4] T[4,2,1,3]", "coeffs": [0, 1]},
+    "nodes": [{"frac": "-2/1", "just": {"base": "unknot"}}],
+}
 
 
 def node_fracs(cert):
@@ -220,6 +230,42 @@ class TestForgeries:
         v = verify_certificate(span_certificate(F("-1/2"), ambient))
         assert not v.accepted and v.check == 0
         assert "linear model (a=1, b=0) fails at -1/2: 0 != 2" in v.message
+
+    def test_non_planar_ambient_whose_fit_holds_rejected_check0(self):
+        cert = certificate_from_json(copy.deepcopy(FITTING_NON_PLANAR))
+        ambient = cert.ambient
+        assert fit_coefficients(ambient) == (0, 1)
+        assert not is_planar(ambient.diagram)
+        closure = splice(ambient, 0, F("-2/1"))
+        assert pd_string(closure) == "X[1,2,3,4] X[1,5,6,4] X[2,6,5,3]"
+        assert determinant(closure) == 0
+        v = verify_certificate(cert)
+        assert (v.accepted, v.check, v.node) == (False, 0, None)
+        assert v.message == "ambient cannot be refitted: diagram is not planar"
+
+    def test_check0_passes_exactly_the_planar_fitted_ambients(self):
+        # seeded random labellings of one slot and one to three crossings:
+        # wherever the fit holds, check 0 passes the ambient exactly when it
+        # is planar
+        rng = random.Random(32)
+        passed = {True: 0, False: 0}
+        for _ in range(600):
+            k = rng.randint(1, 3)
+            labels = [e for e in range(1, 2 * k + 3) for _ in (0, 1)]
+            rng.shuffle(labels)
+            d = LinkDiagram(
+                [labels[i : i + 4] for i in range(0, 4 * k, 4)], [labels[4 * k :]]
+            )
+            try:
+                coeffs = fit_coefficients(TangleTemplate(d))
+            except TemplateError:
+                continue
+            ambient, base = TangleTemplate(d, coeffs), [("base", "unknot")]
+            cert = Certificate(UNORIENTED, ambient, [1], [0], [None], base)
+            planar = is_planar(d)
+            passed[planar] += 1
+            assert (verify_certificate(cert).check != 0) == planar, pd_string(d)
+        assert passed[True] >= 100 and passed[False] >= 200, passed
 
     def test_memoized_refit_still_compares_coefficients(self):
         # the refit of this diagram is remembered after the first ACCEPT;

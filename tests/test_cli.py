@@ -12,7 +12,7 @@ from tanglekit.cli import run
 from tanglekit.diagram import parse_pd
 from tanglekit.skein import MAX_SCAN_BOUND, TangleTemplate
 from tanglekit.tangle import TangleFraction
-from test_certify import BRANCH_FORGERIES
+from test_certify import BRANCH_FORGERIES, FITTING_NON_PLANAR
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 HOPF = "X[1,4,2,3] X[3,2,4,1]"
@@ -215,6 +215,15 @@ class TestCertifyVerify:
         code, out, _ = invoke(capsys, "verify", str(path))
         assert code == 2
         assert out.startswith("REJECT (check 0") and "fails at -1/2: 0 != 2" in out
+
+    def test_non_planar_ambient_whose_fit_holds_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(FITTING_NON_PLANAR))
+        code, out, _ = invoke(capsys, "verify", str(path))
+        assert code == 2
+        assert out == (
+            "REJECT (check 0: ambient cannot be refitted: diagram is not planar)\n"
+        )
 
     @pytest.mark.parametrize(
         "tag,edit,verdict", [f[1:] for f in BRANCH_FORGERIES],

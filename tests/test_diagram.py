@@ -24,7 +24,7 @@ from tanglekit.diagram import (
     resolve,
 )
 from tanglekit.skein import FareyPair, ScanReport, TangleTemplate
-from tanglekit.tangle import CompiledTangle, ContinuedFraction
+from tanglekit.tangle import ContinuedFraction
 from tanglekit.tangle import TangleFraction as F
 
 UNKNOT_KINK = "X[1,2,2,1]"
@@ -369,39 +369,35 @@ class TestCompose:
 
 
 class TestFillSlot:
+    # a tangle is a one-slot diagram whose slot lists its boundary as seen
+    # from outside the disk, T[nw, sw, ne, se]
+
     def test_fill_with_horizontal_trivial_gives_unknot(self):
         d = parse_pd(FIG8_TEMPLATE)
-        # horizontal trivial tangle: two edges, no crossings
-        out = fill_slot(d, 0, (), (1, 1, 2, 2))
+        # horizontal trivial tangle: two edges, no crossings, nw-ne and sw-se
+        out = fill_slot(d, 0, LinkDiagram((), [(1, 2, 1, 2)]))
         assert out.crossings == ()
         assert out.loops == 1
 
     def test_fill_with_vertical_trivial_gives_unlink(self):
         d = parse_pd(FIG8_TEMPLATE)
-        out = fill_slot(d, 0, (), (1, 2, 1, 2))
+        out = fill_slot(d, 0, LinkDiagram((), [(1, 1, 2, 2)]))
         assert out.loops == 2
 
     def test_fill_single_crossing(self):
         d = parse_pd(FIG8_TEMPLATE)
-        # one positive horizontal twist: crossing (1, 2, 4, 3)
-        out = fill_slot(d, 0, ((1, 2, 4, 3),), (1, 3, 2, 4))
+        # one positive horizontal twist: crossing (1, 2, 4, 3), nw 1, ne 3,
+        # sw 2, se 4
+        out = fill_slot(d, 0, LinkDiagram([(1, 2, 4, 3)], [(1, 2, 3, 4)]))
         assert len(out.crossings) == 1
         assert components(out) == 1
-
-    def test_the_tangle_may_come_as_iterators(self):
-        # the tangle is read twice, once to check it and once to glue it in
-        d = parse_pd(FIG8_TEMPLATE)
-        tangle = ((1, 2, 4, 3),), (1, 3, 2, 4)
-        out = fill_slot(d, 0, iter(tangle[0]), iter(tangle[1]))
-        assert out == fill_slot(d, 0, *tangle)
-        assert len(out.crossings) == 1
 
     @pytest.mark.parametrize("slot", [True, False, 0.0, 1.0])
     def test_slot_index_must_be_an_exact_int(self, slot):
         # a bool indexes the slot tuple as 0 or 1; a float reached the index
         d = parse_pd("T[1,2,3,4] T[2,1,4,3]")
         with pytest.raises(PDError, match="slot index must be an int"):
-            fill_slot(d, slot, (), (1, 1, 2, 2))
+            fill_slot(d, slot, parse_pd(FIG8_TEMPLATE))
 
 
 class TestUnionFind:
@@ -478,8 +474,6 @@ RECORDS = [
      "LinkDiagram(crossings=((1, 2, 2, 1),), slots=(), loops=0, orientation=None)"),
     (lambda: F(-2, 5), "TangleFraction(p=-2, q=5)"),
     (lambda: ContinuedFraction((None, 2, 3)), "ContinuedFraction(terms=(None, 2, 3))"),
-    (lambda: CompiledTangle(((1, 2, 4, 3),), 1, 3, 2, 4),
-     "CompiledTangle(crossings=((1, 2, 4, 3),), nw=1, ne=3, sw=2, se=4)"),
     (lambda: FareyPair(F(1, 2), F(1, 3)),
      "FareyPair(f1=TangleFraction(p=1, q=2), f2=TangleFraction(p=1, q=3))"),
     (_fig8, FIG8_REPR),

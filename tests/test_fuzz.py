@@ -309,6 +309,17 @@ def or_not_exact(make):
 SLOT = or_not_exact(lambda rng: rng.randint(-1, 2))
 
 
+def tangle(rng):
+    """A compiled tangle, a pool diagram (mostly the wrong number of slots,
+    loops or an orientation) or the crossings-and-stubs pair that is not a
+    tangle."""
+    return rng.choice((
+        lambda: tanglekit.compile_word(cf(rng)),
+        lambda: D(rng),
+        lambda: (tuple(quad(rng) for _ in range(rng.randint(0, 2))), quad(rng)),
+    ))()
+
+
 def column(name):
     """A drawer of one column of a pool certificate; columns drawn apart
     mostly differ in length."""
@@ -349,9 +360,7 @@ CALLS_BY_NAME = {
     "determinant": (D,),
     "disjoint_union": (D, D),
     "figure8_template": (),
-    "fill_slot": (
-        D, SLOT, lambda rng: tuple(quad(rng) for _ in range(rng.randint(0, 2))), quad
-    ),
+    "fill_slot": (D, SLOT, tangle),
     "fit_coefficients": (T,),
     "fraction_to_cf": (fraction,),
     "insertion_det": (T, fraction),
@@ -378,8 +387,8 @@ CALLS_BY_NAME = {
 
 # exceptions and records that check nothing (fields are stored as given)
 UNCHECKED = {
-    "CertificateError", "PDError", "TemplateError", "CompiledTangle",
-    "CorpusEntry", "ScanReport", "Verdict",
+    "CertificateError", "PDError", "TemplateError", "CorpusEntry", "ScanReport",
+    "Verdict",
 }
 
 

@@ -120,7 +120,7 @@ def test_no_verb_imports_dataclasses_or_inspect(tmp_path):
 
 
 def test_every_public_name_resolves_to_its_submodule():
-    assert len(tanglekit.__all__) == len(set(tanglekit.__all__)) == 52
+    assert len(tanglekit.__all__) == len(set(tanglekit.__all__)) == 51
     for name in tanglekit.__all__:
         value = getattr(tanglekit, name)
         home = sys.modules[f"tanglekit.{tanglekit._HOME[name]}"]

@@ -157,8 +157,8 @@ def test_splices_into_every_orientation_of_every_stock_template_match():
                 v = len(od.crossings) + slot
                 assert od.incoming_positions(v) == oracle.incoming(od, 1, slot)
                 for c in compiled:
-                    got = outcome(fill_slot, od, slot, c.crossings, c.stubs)
-                    want = outcome(oracle.fill_slot, od, slot, c.crossings, c.stubs)
+                    got = outcome(fill_slot, od, slot, c)
+                    want = outcome(oracle.fill_slot, od, slot, c)
                     assert got == want, (name, flags, slot, c)
                     if isinstance(got, LinkDiagram):
                         filled += 1

@@ -52,8 +52,7 @@ def flag_vectors(d):
 
 
 def compiled(f):
-    c = compile_word(fraction_to_cf(f))
-    return c.crossings, c.stubs
+    return compile_word(fraction_to_cf(f))
 
 
 def fill_cases(fracs):
@@ -89,13 +88,13 @@ def oriented_fill_outputs():
     for t, slot, f in fill_cases(reduced_fractions(4)):
         if not orientation_compatible(t, slot, f):
             continue
-        out = fill_slot(t.diagram, slot, *compiled(f))
+        out = fill_slot(t.diagram, slot, compiled(f))
         yield out
         if out.slots:
             rest = TangleTemplate(out)
             for g in second:
                 if orientation_compatible(rest, 0, g):
-                    yield fill_slot(out, 0, *compiled(g))
+                    yield fill_slot(out, 0, compiled(g))
 
 
 def unoriented_outputs():
@@ -108,7 +107,7 @@ def unoriented_outputs():
         d = DIGEST_TEMPLATES[name]
         for slot in range(len(d.slots)):
             for f in reduced_fractions(4):
-                yield fill_slot(d, slot, *compiled(f))
+                yield fill_slot(d, slot, compiled(f))
 
 
 GOLDEN = {
@@ -140,9 +139,9 @@ def random_surgery_outputs(rng, count):
         if rng.random() < 0.5:
             d = d.with_orientation(tuple(rng.choice((1, -1)) for _ in d._units))
         try:
-            one = fill_slot(d, rng.randrange(2), *compiled(rng.choice(fracs)))
+            one = fill_slot(d, rng.randrange(2), compiled(rng.choice(fracs)))
             yield one
-            out = fill_slot(one, 0, *compiled(rng.choice(fracs)))
+            out = fill_slot(one, 0, compiled(rng.choice(fracs)))
         except PDError:
             continue  # a fill whose strands fight the orientation
         yield out
@@ -187,8 +186,8 @@ class TestOutputsAgreeWithTheConstructor:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(LinkDiagram, "__init__", counted)
-        out = fill_slot(d, 0, *f)
-        oriented = fill_slot(od, 0, *g)
+        out = fill_slot(d, 0, f)
+        oriented = fill_slot(od, 0, g)
         assert out.crossings and oriented.is_oriented
         for x in (out, oriented):
             crossing_change(x, 0)
@@ -197,9 +196,9 @@ class TestOutputsAgreeWithTheConstructor:
         assert runs == []
 
 
-# malformed tangles handed to fill_slot, and what each error must name: a
-# stub label 0, stubs that only equal ints, three stubs, a three-entry
-# crossing, labels used once, and a label used three times
+# malformed tangles, and what each error must name: a stub label 0, stubs
+# that only equal ints, three stubs, a three-entry crossing, labels used once,
+# and a label used three times
 MALFORMED_TANGLES = {
     "zero": ((), (0, 0, 2, 2), r"positive integers, not \[0, 0\]"),
     "bools": ((), (True, True, 2, 2), r"positive integers, not \[True, True\]"),
@@ -209,14 +208,14 @@ MALFORMED_TANGLES = {
     "three-entry-crossing": (
         ((1, 2, 3),), (1, 2, 3, 4), r"four entries, not \[\(1, 2, 3\)\]"
     ),
-    "used-once": ((), (1, 2, 3, 3), r"exactly twice: \[1, 2\]"),
-    "used-thrice": (((1, 2, 3, 4),), (1, 1, 3, 4), r"exactly twice: \[1, 2\]"),
+    "used-once": ((), (1, 2, 3, 3), r"labels \[1, 2\] occur != 2 times"),
+    "used-thrice": (((1, 2, 3, 4),), (1, 1, 3, 4), r"labels \[1, 2\] occur != 2 times"),
 }
 
 
 class TestMalformedTangle:
-    """fill_slot checks the tangle as the constructor checks a diagram, before
-    any work: an unoriented and an oriented template refuse it alike."""
+    """A tangle is a one-slot diagram, so the constructor checks it: a
+    malformed one never reaches fill_slot, whatever the template."""
 
     @pytest.mark.parametrize("tag", [None, "parallel", "antiparallel"])
     @pytest.mark.parametrize(
@@ -225,34 +224,65 @@ class TestMalformedTangle:
     def test_is_refused_with_its_labels_named(self, tag, crossings, stubs, match):
         d = (oriented_figure8(tag) if tag else figure8_template()).diagram
         with pytest.raises(PDError, match=match):
-            fill_slot(d, 0, crossings, stubs)
+            fill_slot(d, 0, LinkDiagram(crossings, [stubs]))
 
     def test_every_compiled_tangle_passes_the_check(self):
         d = figure8_template().diagram
         fracs = list(reduced_fractions(30))
         assert len(fracs) == 1112
         for f in fracs:
-            assert not fill_slot(d, 0, *compiled(f)).slots
+            assert not fill_slot(d, 0, compiled(f)).slots
+
+
+class TestTangleForm:
+    """fill_slot takes an unoriented one-slot diagram without free loops."""
+
+    @pytest.mark.parametrize(
+        "tangle",
+        [
+            ((), (1, 1, 2, 2)),  # the retired (crossings, stubs) form
+            TangleFraction(0, 1),
+            "T[1,2,1,2]",
+            parse_pd("T[1,2,3,4] T[2,1,4,3]"),
+            parse_pd("X[1,2,2,1]"),
+            parse_pd("T[1,2,1,2] U"),
+            parse_pd("X[1,2,4,3] T[1,2,3,4] O[1:+,2:-]"),
+        ],
+        ids=["pair", "fraction", "text", "two-slots", "no-slot", "loop", "oriented"],
+    )
+    def test_anything_else_is_refused(self, tangle):
+        for tag in (None, "parallel"):
+            d = (oriented_figure8(tag) if tag else figure8_template()).diagram
+            with pytest.raises(PDError, match="one-slot diagram without loops"):
+                fill_slot(d, 0, tangle)
+
+    def test_a_closed_unit_inside_the_tangle_takes_no_direction(self):
+        # X[3,4,4,3] is a kinked circle with no end on the slot, so no
+        # directed edge of the template reaches it
+        tangle = parse_pd("X[3,4,4,3] T[1,1,2,2]")
+        assert components(fill_slot(figure8_template().diagram, 0, tangle)) == 3
+        with pytest.raises(PDError, match="unit has no directed edge"):
+            fill_slot(oriented_figure8("parallel").diagram, 0, tangle)
 
 
 class TestIncompatibleFill:
     def test_parallel_figure8_with_two_over_one(self):
         t = oriented_figure8("parallel")
         with pytest.raises(PDError):
-            fill_slot(t.diagram, 0, *compiled(TangleFraction(2, 1)))
+            fill_slot(t.diagram, 0, compiled(TangleFraction(2, 1)))
 
     def test_trefoil_sum_with_crossing_free_strands(self):
         d = TEMPLATES["trefoil_sum"].diagram.with_orientation((1, 1))
         with pytest.raises(PDError):
-            fill_slot(d, 0, *compiled(TangleFraction(0, 1)))
+            fill_slot(d, 0, compiled(TangleFraction(0, 1)))
 
     def test_every_incompatible_fill_raises(self):
         for t, slot, f in fill_cases(reduced_fractions(4)):
             if orientation_compatible(t, slot, f):
-                assert fill_slot(t.diagram, slot, *compiled(f)).is_oriented
+                assert fill_slot(t.diagram, slot, compiled(f)).is_oriented
             else:
                 with pytest.raises(PDError):
-                    fill_slot(t.diagram, slot, *compiled(f))
+                    fill_slot(t.diagram, slot, compiled(f))
 
 
 class TestTraceCount:
@@ -333,9 +363,9 @@ class TestDirectionReads:
         reads[0] = 0
         out = splice(t, 0, f)
         assert reads[0] == 2  # the slot's compatibility test, then fill_slot
-        compiled = compile_word(fraction_to_cf(f))
+        tangle = compiled(f)
         for step in (
-            lambda: fill_slot(t.diagram, 0, compiled.crossings, compiled.stubs),
+            lambda: fill_slot(t.diagram, 0, tangle),
             lambda: oriented_resolve(out, 0),
             lambda: crossing_change(out, 0),
         ):

@@ -14,7 +14,9 @@ from tanglekit.tangle import (
     connectivity,
     fraction_to_cf,
 )
+from tanglekit.diagram import parse_pd, pd_string
 from tangle_oracles import (
+    as_diagram,
     cf_to_word,
     compile_twist_word,
     trace_connectivity,
@@ -122,12 +124,15 @@ class TestWord:
     def test_zero_cf_is_empty_word(self):
         t = compile_word(ContinuedFraction((0,)))
         assert t.crossings == ()
-        assert t.stubs == (1, 1, 2, 2)
+        # nw = ne = 1 and sw = se = 2, listed as T[nw, sw, ne, se]
+        assert t.slots == ((1, 2, 1, 2),)
+        assert t == parse_pd("T[1,2,1,2]")
 
     def test_three_horizontal_twists(self):
         t = compile_word(ContinuedFraction((3,)))
         assert t.crossings == ((1, 2, 4, 3), (3, 4, 6, 5), (5, 6, 8, 7))
-        assert t.stubs == (1, 7, 2, 8)
+        assert t.slots == ((1, 2, 7, 8),)  # nw 1, ne 7, sw 2, se 8
+        assert (t.loops, t.orientation) == (0, None)
 
     def test_crossing_count_is_term_sum(self):
         assert len(compile_word(ContinuedFraction((2, 3, 1))).crossings) == 6
@@ -144,9 +149,16 @@ class TestWord:
             for tup in t.crossings:
                 for e in tup:
                     seen[e] = seen.get(e, 0) + 1
-            for stub in t.stubs:
+            for stub in t.slots[0]:
                 seen[stub] = seen.get(stub, 0) + 1
             assert all(v == 2 for v in seen.values())
+
+    def test_every_tangle_round_trips_through_pd_text(self):
+        fractions = all_reduced(30)
+        assert len(fractions) == 1_112
+        for f in fractions:
+            t = compile_word(fraction_to_cf(f))
+            assert parse_pd(pd_string(t)) == t, f
 
 
 class TestCompileDifferential:
@@ -162,7 +174,11 @@ class TestCompileDifferential:
         assert len(fractions) == 5_846  # 5,845 finite ones and 1/0
         for f in fractions:
             cf = fraction_to_cf(f)
-            assert compile_word(cf) == compile_twist_word(cf_to_word(cf)), f
+            word = compile_twist_word(cf_to_word(cf))
+            t = compile_word(cf)
+            # the constructor keeps the crossings as compiled: no renumbering
+            # and no rotation
+            assert t == as_diagram(word) and t.crossings == word.crossings, f
 
 
 class TestConnectivity:
